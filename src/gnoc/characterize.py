@@ -15,9 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import product
-
-import numpy as np
+from itertools import chain, product
 
 from .errors import (CornerOrderError, DigestMismatch, FormatError,
                      MonotonicityError, NotOnGrid, SegmentTooLong, SlewOutOfRange)
@@ -45,30 +43,39 @@ class LookupPurpose(Enum):
         return Corner.MAX if self is LookupPurpose.SETUP_MAX else Corner.MIN
 
 
+class Grid:
+    """L x K table cells held as L row lists of K floats; grid[i, n] reads one cell."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: list):
+        self.cells = cells
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.cells), len(self.cells[0])
+
+    def __getitem__(self, index: tuple[int, int]) -> float:
+        i, n = index
+        return self.cells[i][n]
+
+
 @dataclass
 class SegmentTable:
     src_kind: BlockKind
     dst_kind: BlockKind
-    rows: np.ndarray                      # L ascending slew grid values
-    delay: dict = field(default_factory=dict)     # Corner -> (L, K) array
-    slew_out: dict = field(default_factory=dict)  # Corner -> (L, K) array
+    rows: list                                    # L ascending slew grid values
+    delay: dict = field(default_factory=dict)     # Corner -> (L, K) Grid
+    slew_out: dict = field(default_factory=dict)  # Corner -> (L, K) Grid
 
     def __post_init__(self):
-        # plain-list views keep single-cell lookups cheap on long links; near
-        # bounds the grid-row tolerance (1e-9 relative) over every in-range
-        # slew, so view_lookup rules most off-grid slews out in one comparison
-        rows = [float(x) for x in self.rows]
-        near = 1e-9 * max(abs(rows[0]), abs(rows[-1]), 1.0)
-        self._views = {c: (rows, self.delay[c].tolist(), self.slew_out[c].tolist(), near)
+        # the views share the grids' row lists, so lookups index plain lists;
+        # near bounds the grid-row tolerance (1e-9 relative) over every
+        # in-range slew, so view_lookup rules most off-grid slews out in one
+        # comparison
+        near = 1e-9 * max(abs(self.rows[0]), abs(self.rows[-1]), 1.0)
+        self._views = {c: (self.rows, self.delay[c].cells, self.slew_out[c].cells, near)
                        for c in self.delay}
-
-    @property
-    def L(self) -> int:
-        return len(self.rows)
-
-    @property
-    def K(self) -> int:
-        return self.delay[Corner.MAX].shape[1]
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,14 @@ class TableSet:
                 for purpose in LookupPurpose}
 
 
-def slew_grid(cfg: TechConfig) -> np.ndarray:
-    return np.linspace(cfg.slew_grid_min, cfg.slew_grid_max, cfg.L)
+def slew_grid(cfg: TechConfig) -> list[float]:
+    """L evenly spaced slews: row i is i * step + slew_grid_min, the last is slew_grid_max.
+
+    Table files pin this arithmetic to the last bit.
+    """
+    lo, hi, L = cfg.slew_grid_min, cfg.slew_grid_max, cfg.L
+    step = (hi - lo) / (L - 1)
+    return [i * step + lo for i in range(L - 1)] + [hi]
 
 
 def build_tables(cfg: TechConfig) -> TableSet:
@@ -100,13 +113,13 @@ def build_tables(cfg: TechConfig) -> TableSet:
     rows = slew_grid(cfg)
     tables = {}
     for src, dst in product(ACTIVE_KINDS, ACTIVE_KINDS):
-        delay = {c: np.empty((cfg.L, cfg.K)) for c in TABLE_CORNERS}
-        slew = {c: np.empty((cfg.L, cfg.K)) for c in TABLE_CORNERS}
-        for (i, s), n, corner in product(enumerate(rows), range(cfg.K), TABLE_CORNERS):
-            res = golden_segment(src, dst, n, float(s), corner, cfg)
-            delay[corner][i, n] = res.delay
-            slew[corner][i, n] = res.slew_out
-        tables[(src, dst)] = SegmentTable(src, dst, rows.copy(), delay, slew)
+        delay, slew = {}, {}
+        for corner in TABLE_CORNERS:
+            cells = [[golden_segment(src, dst, n, s, corner, cfg) for n in range(cfg.K)]
+                     for s in rows]
+            delay[corner] = Grid([[res.delay for res in row] for row in cells])
+            slew[corner] = Grid([[res.slew_out for res in row] for row in cells])
+        tables[(src, dst)] = SegmentTable(src, dst, rows, delay, slew)
     return TableSet(tables=tables, cfg_digest=cfg.digest(), K=cfg.K, L=cfg.L)
 
 
@@ -131,12 +144,11 @@ def _write(ts: TableSet, fh) -> None:
     for (src, dst), table in sorted(ts.tables.items(),
                                     key=lambda kv: (kv[0][0].value, kv[0][1].value)):
         for corner in sorted(table.delay, key=lambda c: c.value):
-            for i in range(table.L):
-                for n in range(table.K):
+            for i, (s, delays, slews) in enumerate(zip(table.rows, table.delay[corner].cells,
+                                                       table.slew_out[corner].cells)):
+                for n, (d, so) in enumerate(zip(delays, slews)):
                     writer.writerow([src.value, dst.value, corner.value, i, n,
-                                     _fmt(table.rows[i]),
-                                     _fmt(table.delay[corner][i, n]),
-                                     _fmt(table.slew_out[corner][i, n])])
+                                     _fmt(s), _fmt(d), _fmt(so)])
 
 
 def load_tables(source, expect_digest: str | None = None) -> TableSet:
@@ -183,14 +195,17 @@ def _read(fh, expect_digest) -> TableSet:
             raise FormatError(f"malformed table record {rec!r}") from exc
         if not (0 <= i < L and 0 <= n < K):
             raise FormatError(f"cell index out of range in record {rec!r}")
+        if not all(map(math.isfinite, (slew_in, delay, slew_out))):
+            raise FormatError(f"non-finite value in table record {rec!r}")
         pair = (src, dst)
-        entry = data.setdefault((pair, corner),
-                                {"delay": np.full((L, K), np.nan),
-                                 "slew": np.full((L, K), np.nan)})
-        entry["delay"][i, n] = delay
-        entry["slew"][i, n] = slew_out
-        rows = rows_by_pair.setdefault(pair, np.full(L, np.nan))
-        if not np.isnan(rows[i]) and rows[i] != slew_in:
+        # None marks a cell or row no record has filled yet
+        delays, slews = data.setdefault((pair, corner),
+                                        ([[None] * K for _ in range(L)],
+                                         [[None] * K for _ in range(L)]))
+        delays[i][n] = delay
+        slews[i][n] = slew_out
+        rows = rows_by_pair.setdefault(pair, [None] * L)
+        if rows[i] is not None and rows[i] != slew_in:
             raise FormatError(f"inconsistent row slew for {src}->{dst} row {i}")
         rows[i] = slew_in
 
@@ -198,16 +213,15 @@ def _read(fh, expect_digest) -> TableSet:
     tables = {}
     for pair in sorted(pairs, key=lambda p: (p[0].value, p[1].value)):
         rows = rows_by_pair.get(pair)
-        if rows is None or np.isnan(rows).any():
+        if rows is None or None in rows:
             raise FormatError(f"table {pair[0]}->{pair[1]} missing or incomplete")
         delay, slew = {}, {}
         for corner in TABLE_CORNERS:
             entry = data.get((pair, corner))
-            if entry is None or np.isnan(entry["delay"]).any():
+            if entry is None or any(None in row for row in entry[0]):
                 raise FormatError(f"table {pair[0]}->{pair[1]} missing corner "
                                   f"{corner.value}")
-            delay[corner] = entry["delay"]
-            slew[corner] = entry["slew"]
+            delay[corner], slew[corner] = Grid(entry[0]), Grid(entry[1])
         tables[pair] = SegmentTable(pair[0], pair[1], rows, delay, slew)
 
     ts = TableSet(tables=tables, cfg_digest=digest, K=K, L=L)
@@ -219,20 +233,20 @@ def validate_tables(ts: TableSet) -> None:
     """Enforce structural invariants: ascending rows, corner order, monotonicity."""
     for (src, dst), t in ts.tables.items():
         name = f"{src}->{dst}"
-        if not np.all(np.diff(t.rows) > 0):
+        if not all(a < b for a, b in zip(t.rows, t.rows[1:])):
             raise MonotonicityError(f"{name}: slew rows not strictly ascending")
-        dmin, dmax = t.delay[Corner.MIN], t.delay[Corner.MAX]
-        bad = np.argwhere(dmax < dmin)
-        if bad.size:
-            i, n = bad[0]
-            raise CornerOrderError(f"{name}: MAX delay < MIN delay at cell "
-                                   f"(row {i}, col {n})")
+        dmin, dmax = t.delay[Corner.MIN].cells, t.delay[Corner.MAX].cells
+        for i, (lo_row, hi_row) in enumerate(zip(dmin, dmax)):
+            for n, (lo, hi) in enumerate(zip(lo_row, hi_row)):
+                if hi < lo:
+                    raise CornerOrderError(f"{name}: MAX delay < MIN delay at cell "
+                                           f"(row {i}, col {n})")
         for corner in TABLE_CORNERS:
-            d = t.delay[corner]
-            if np.any(np.diff(d, axis=0) < 0):
+            d = t.delay[corner].cells
+            if any(b < a for r0, r1 in zip(d, d[1:]) for a, b in zip(r0, r1)):
                 raise MonotonicityError(f"{name}/{corner.value}: delay decreases "
                                         f"along slew rows")
-            if np.any(np.diff(d, axis=1) < 0):
+            if any(b < a for r in d for a, b in zip(r, r[1:])):
                 raise MonotonicityError(f"{name}/{corner.value}: delay decreases "
                                         f"along load columns")
 
@@ -245,15 +259,24 @@ def tables_equal(a: TableSet, b: TableSet, rtol: float = 0.0) -> bool:
         return False
     for pair, ta in a.tables.items():
         tb = b.tables[pair]
-        if not np.allclose(ta.rows, tb.rows, rtol=rtol, atol=0.0):
+        if not _allclose(ta.rows, tb.rows, rtol):
             return False
         for corner in TABLE_CORNERS:
-            if not np.allclose(ta.delay[corner], tb.delay[corner], rtol=rtol, atol=0.0):
-                return False
-            if not np.allclose(ta.slew_out[corner], tb.slew_out[corner],
-                               rtol=rtol, atol=0.0):
-                return False
+            for ga, gb in ((ta.delay[corner], tb.delay[corner]),
+                           (ta.slew_out[corner], tb.slew_out[corner])):
+                if not _allclose(chain(*ga.cells), chain(*gb.cells), rtol):
+                    return False
     return True
+
+
+def _allclose(xs, ys, rtol: float) -> bool:
+    """|x - y| <= rtol * |y| for every pair (asymmetric: relative to ys).
+
+    Equal infinities are close; any other pair with a non-finite value,
+    NaN included, is not.
+    """
+    return all(x == y or (math.isfinite(y) and abs(x - y) <= rtol * abs(y))
+               for x, y in zip(xs, ys, strict=True))
 
 
 def table_view(ts: TableSet, src: BlockKind, dst: BlockKind,
@@ -283,7 +306,7 @@ def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
     clamped = slew_in < rows[0]
     if clamped:
         slew_in = rows[0]
-    elif slew_in > rows[-1]:
+    elif not slew_in <= rows[-1]:  # NaN too
         raise SlewOutOfRange(f"input slew {slew_in} above table grid max {rows[-1]}")
 
     # rows[lo] < slew_in <= rows[hi]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 from .errors import InvalidValue, MissingKey, ParseError, UnknownSubtype
@@ -37,11 +38,10 @@ class SubtypeTag:
 
     clock_buffered selects the clock-buffered wire variant (written ``.cb``);
     it is only meaningful for kind W since active blocks always buffer the
-    clock.  width_class is reserved for wire-family width variants.
+    clock.
     """
 
     clock_buffered: bool = False
-    width_class: int = 1
 
 
 DEFAULT_SUBTYPE = SubtypeTag()
@@ -96,6 +96,11 @@ class TechConfig:
 
     def digest(self) -> str:
         """Hex digest of the canonical serialization; identifies table provenance."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # computed once per config: analysis checks it on every call
         return hashlib.sha256(serialize_tech_config(self).encode()).hexdigest()[:16]
 
 

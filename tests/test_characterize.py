@@ -1,4 +1,6 @@
+import hashlib
 import io
+import math
 import random
 from itertools import product
 
@@ -13,6 +15,12 @@ from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
                          SlewOutOfRange)
 from gnoc.golden import Corner, golden_segment
 from gnoc.techlib import BlockKind, load_tech_config, serialize_tech_config, with_slew_grid
+
+# sha256 and size of save_tables(build_tables(cfg)) per slew grid size L
+TABLE_FILE_SHA256 = {
+    10: ("8b43881030cd9328974deb978065e69a9f9a4d401eefc2d604981690786375dc", 60747),
+    20: ("3ecb1f4ead7e2d9d940a2537afca3691ca60859d1aab6cb80583567f7acc963d", 188483),
+}
 
 
 def small_cfg(cfg, K=1, L=2):
@@ -58,6 +66,43 @@ def test_save_load_round_trip(cfg, tables):
     buf2.seek(0)
     save_tables(load_tables(io.StringIO(buf2.getvalue())), buf3)
     assert buf2.getvalue() == buf3.getvalue()
+
+
+@pytest.mark.parametrize("L", sorted(TABLE_FILE_SHA256))
+def test_table_file_bytes_pinned(cfg, L):
+    buf = io.StringIO()
+    save_tables(build_tables(with_slew_grid(cfg, L)), buf)
+    data = buf.getvalue().encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == TABLE_FILE_SHA256[L]
+
+
+def test_tables_equal_tolerance(tables):
+    buf = io.StringIO()
+    save_tables(tables, buf)
+    other = load_tables(io.StringIO(buf.getvalue()))
+    cells = other.tables[(BlockKind.B, BlockKind.R)].delay[Corner.MAX].cells
+    cells[3][4] *= 1.0 + 1e-12
+    assert tables_equal(tables, other, rtol=1e-11)
+    assert not tables_equal(tables, other)
+    cells[3][4] = math.nan
+    assert not tables_equal(other, other, rtol=1e-11)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["slew_in", "delay", "slew_out"])
+def test_non_finite_record_rejected(tables, column, value):
+    buf = io.StringIO()
+    save_tables(tables, buf)
+    lines = buf.getvalue().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("B,B,max,3,4,"):
+            parts = line.split(",")
+            parts[5 + ("slew_in", "delay", "slew_out").index(column)] = value
+            lines[i] = ",".join(parts)
+            break
+    with pytest.raises(FormatError) as err:
+        load_tables(io.StringIO("\n".join(lines) + "\n"))
+    assert "non-finite" in str(err.value) and repr(parts) in str(err.value)
 
 
 def test_digest_mismatch(tables):
@@ -154,9 +199,10 @@ def test_lookup_segment_too_long(tables):
                      LookupMode.EXACT, LookupPurpose.SETUP_MAX)
 
 
-def test_lookup_slew_above_grid(tables):
+@pytest.mark.parametrize("slew", [41.0, math.nan])
+def test_lookup_slew_above_grid(tables, slew):
     with pytest.raises(SlewOutOfRange):
-        table_lookup(tables, BlockKind.B, BlockKind.B, 2, 41.0,
+        table_lookup(tables, BlockKind.B, BlockKind.B, 2, slew,
                      LookupMode.INTERPOLATE, LookupPurpose.SETUP_MAX)
 
 

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gnoc
 from gnoc.cli import main
 from gnoc.techlib import serialize_tech_config
+
+SRC = Path(gnoc.__file__).resolve().parents[1]  # the directory gnoc is imported from
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +86,37 @@ def test_analyze_bad_link_file(ws, capsys):
 def test_missing_file_is_usage_error(ws, capsys):
     assert main(["analyze", *args(ws, "--link", str(ws / "nope.gnoc"),
                                   "--period", "100")]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_nan_launch_slew_is_usage_error(ws, capsys, command):
+    link = write_link(ws, "S W W B W W R W W S")
+    assert main([command, *args(ws, "--link", link, "--period", "100",
+                                "--launch-slew", "nan")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_runs_without_numpy(ws, tmp_path):
+    """The package needs only the standard library: block numpy and run the CLI."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from gnoc.cli import main\n"
+        "tech, out, link = sys.argv[1:]\n"
+        "rc1 = main(['characterize', '--tech', tech, '--out', out])\n"
+        "rc2 = main(['analyze', '--tech', tech, '--tables', out, '--link', link,\n"
+        "            '--period', '100'])\n"
+        "print('rc', rc1, rc2)\n"
+    )
+    out = tmp_path / "tables.csv"
+    link = write_link(ws, "S W W B W W R W W S", name="nonumpy.gnoc")
+    proc = subprocess.run([sys.executable, "-c", script, str(ws / "tech.cfg"),
+                           str(out), link],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "rc 0 0"
+    assert out.read_bytes() == (ws / "tables.csv").read_bytes()
 
 
 def test_tables_digest_mismatch(ws, tmp_path, capsys):

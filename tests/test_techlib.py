@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from gnoc.errors import InvalidValue, MissingKey, ParseError, UnknownSubtype
 from gnoc.techlib import (CB_SUBTYPE, BlockKind, ClockSpec, block_params,
-                          load_tech_config, serialize_tech_config)
+                          load_tech_config, serialize_tech_config, with_slew_grid)
 
 MINIMAL = """
 pitch_r = 1.0
@@ -117,6 +119,16 @@ def test_serialize_round_trip(cfg):
     again = load_tech_config(text)
     assert again == cfg
     assert again.digest() == cfg.digest()
+
+
+def test_digest_computed_once(cfg):
+    text = serialize_tech_config(cfg)
+    assert cfg.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert cfg.digest() is cfg.digest()  # the cached string, not a new one
+    finer = with_slew_grid(cfg, 20)
+    assert finer.digest() != cfg.digest()
+    assert finer.digest() == hashlib.sha256(
+        serialize_tech_config(finer).encode()).hexdigest()[:16]
 
 
 def test_default_file_matches_decisions_table(cfg):
