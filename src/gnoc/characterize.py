@@ -307,6 +307,8 @@ def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
     if clamped:
         slew_in = rows[0]
     elif not slew_in <= rows[-1]:  # NaN too
+        if math.isnan(slew_in):
+            raise SlewOutOfRange(f"input slew {slew_in} is not a number")
         raise SlewOutOfRange(f"input slew {slew_in} above table grid max {rows[-1]}")
 
     # rows[lo] < slew_in <= rows[hi]

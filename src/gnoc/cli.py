@@ -86,7 +86,8 @@ def cmd_validate(args) -> int:
     mode = LookupMode(args.mode)
     slew = args.launch_slew if args.launch_slew is not None else 4.0
 
-    print("pass,index,table_arrival,golden_arrival,rel_err")
+    # both passes run before anything is printed, so an error leaves stdout empty
+    rows = ["pass,index,table_arrival,golden_arrival,rel_err"]
     worst = 0.0
     for purpose, corner, label in ((LookupPurpose.SETUP_MAX, Corner.MAX, "setup"),
                                    (LookupPurpose.HOLD_MIN, Corner.MIN, "hold")):
@@ -95,8 +96,9 @@ def cmd_validate(args) -> int:
         for i, (t, g) in enumerate(zip(table_side.arrivals, golden_side.arrivals)):
             err = (t - g) / g
             worst = max(worst, abs(err))
-            print(f"{label},{i},{t:.9g},{g:.9g},{err:.3e}")
-    print(f"max_rel_err={worst:.3e} tol={args.tol:.3e}")
+            rows.append(f"{label},{i},{t:.9g},{g:.9g},{err:.3e}")
+    rows.append(f"max_rel_err={worst:.3e} tol={args.tol:.3e}")
+    print("\n".join(rows))
     return EXIT_OK if worst <= args.tol else EXIT_VIOLATIONS
 
 

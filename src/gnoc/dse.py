@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .characterize import TableSet
 from .errors import GnocError, NoValidCandidate, ParseError
-from .synthesize import LinkSpec, link_cost, synthesize_link
+from .synthesize import LinkSpec, synthesize_link
 from .techlib import TechConfig
 
 

@@ -19,10 +19,6 @@ class MissingKey(GnocError):
     pass
 
 
-class UnknownSubtype(GnocError):
-    pass
-
-
 # --- link grammar ---
 
 class LexError(GnocError):

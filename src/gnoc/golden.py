@@ -117,28 +117,33 @@ def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
     return derate(cfg, corner) * (p.cb_d0 + wire)
 
 
-def golden_clock_analyze(link: LinkSentence, cfg: TechConfig,
-                         corner: Corner) -> ClockResult:
-    """Clock latency at every token, entering at token 0.
+def golden_clock_analyze(link: LinkSentence, cfg: TechConfig, corner: Corner,
+                         entry_index: int = 0) -> ClockResult:
+    """Clock latency at every token, for a clock entering at either link end.
 
-    A token's latency is the arrival at its governing buffer: the sum of the
-    stage delays strictly before that buffer (zero at token 0).
+    entry_index 0 enters at the first token, len(link) - 1 at the last; the
+    buffers are then taken in reverse order.  A token's latency is the arrival
+    at its governing buffer, the last buffer at or before it in propagation
+    order: the sum of the stage delays before that buffer (zero at the entry).
     """
+    n = len(link)
     buffers = clock_buffer_indices(link)
-    stage_delays = []
-    stage_spans = []
-    for a, b in zip(buffers, buffers[1:]):
-        stage_delays.append(clock_stage_delay(b - a - 1, cfg, corner))
-        stage_spans.append((a, b))
+    if entry_index == 0:
+        step = 1
+    elif entry_index == n - 1:
+        step = -1
+        buffers.reverse()
+    else:
+        raise ValueError(f"clock must enter at a link end, got token {entry_index}")
 
-    latencies = []
+    stage_spans = tuple(zip(buffers, buffers[1:]))
+    stage_delays = tuple(clock_stage_delay(abs(b - a) - 1, cfg, corner)
+                         for a, b in stage_spans)
+    latencies = [0.0] * n
     lat = 0.0
-    stage_iter = iter(zip(buffers[1:], stage_delays))
-    next_buf, next_delay = next(stage_iter, (None, 0.0))
-    for i in range(len(link)):
-        if next_buf is not None and i >= next_buf:
-            lat += next_delay
-            next_buf, next_delay = next(stage_iter, (None, 0.0))
-        latencies.append(lat)
-    return ClockResult(latencies=tuple(latencies), stage_delays=tuple(stage_delays),
-                       stage_spans=tuple(stage_spans))
+    for (a, b), d in zip(stage_spans, stage_delays):
+        latencies[a:b:step] = [lat] * abs(b - a)  # buffer a and the wires after it
+        lat += d
+    latencies[buffers[-1]] = lat
+    return ClockResult(latencies=tuple(latencies), stage_delays=stage_delays,
+                       stage_spans=stage_spans)

@@ -1,11 +1,12 @@
 """Table-driven link timing analysis: one lookup per segment.
 
 Data delays and slews come from the characterization tables (MAX corner for
-the setup pass, MIN for the hold pass); clock latencies come from the closed
-form clock-stage model, which the tables' oracle shares.  Flop-to-flop paths
-between consecutive R/S blocks get setup and hold slacks with skew and jitter
-folded in, plus the four structural checks: slew legality, combinational
-delay vs. the period, and clock-stage half-period coverage.
+the setup pass, MIN for the hold pass); clock latencies and clock-stage delays
+come from golden_clock_analyze, the oracle's closed-form clock model.
+Flop-to-flop paths between consecutive R/S blocks get setup and hold slacks
+with skew and jitter folded in, plus the four structural checks: slew
+legality, combinational delay vs. the period, and clock-stage half-period
+coverage.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from itertools import accumulate
 from .characterize import (LookupMode, LookupPurpose, TableSet,
                            reconstruct_lookup, table_lookup, view_lookup)
 from .errors import TableMismatch
-from .golden import (Corner, StageResult, clock_buffer_indices,
-                     clock_stage_delay)
+from .golden import Corner, StageResult, golden_clock_analyze
 from .grammar import LinkSentence, Segment, segment_decompose, serialize_link
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
@@ -45,14 +45,6 @@ class Violation:
     kind: ViolationKind
     location: str
     detail: str
-
-
-@dataclass(frozen=True)
-class ClockArrival:
-    token_index: int
-    latency: float
-    governing_buffer_index: int
-    stage_delay_to_here: float
 
 
 @dataclass(frozen=True)
@@ -89,8 +81,6 @@ class TimingReport:
     segments: tuple[Segment, ...]
     setup_stages: tuple[StageResult, ...]
     hold_stages: tuple[StageResult, ...]
-    arrival_slews: dict            # active token index -> input slew (setup pass)
-    clock_arrivals: tuple[ClockArrival, ...]
     paths: tuple[PathCheck, ...]
     violations: tuple[Violation, ...]
     lookup_count_setup: int
@@ -182,54 +172,12 @@ def analyze_path(link: LinkSentence, ts: TableSet, launch_slew: float,
                         lookup_count=len(stages), clamped=clamped)
 
 
-def hasta_clock_analyze(link: LinkSentence, cfg: TechConfig, corner: Corner,
-                        entry_index: int = 0) -> tuple[ClockArrival, ...]:
-    """Clock latency per token for a clock entering at either link end."""
-    n = len(link)
-    if entry_index == 0:
-        order = list(range(n))
-    elif entry_index == n - 1:
-        order = list(range(n - 1, -1, -1))
-    else:
-        raise ValueError(f"clock must enter at a link end, got token {entry_index}")
-
-    # Buffer positions in propagation order.
-    bufset = set(clock_buffer_indices(link))
-    prop_buffers = [i for i in order if i in bufset]
-
-    latency = {}
-    governing = {}
-    stage_to = {}
-    lat = 0.0
-    prev_buf = prop_buffers[0]
-    latency[prev_buf] = 0.0
-    governing[prev_buf] = prev_buf
-    stage_to[prev_buf] = 0.0
-    for a, b in zip(prop_buffers, prop_buffers[1:]):
-        d = clock_stage_delay(abs(b - a) - 1, cfg, corner)
-        lat += d
-        latency[b] = lat
-        governing[b] = b
-        stage_to[b] = d
-    cur = None
-    for i in order:
-        if i in latency:
-            cur = i
-        else:
-            latency[i] = latency[cur]
-            governing[i] = cur
-            stage_to[i] = 0.0
-    return tuple(ClockArrival(i, latency[i], governing[i], stage_to[i])
-                 for i in range(n))
-
-
 def clock_check(link: LinkSentence, cfg: TechConfig,
                 clk: ClockSpec) -> list[Violation]:
     """Flag every clock stage whose MAX-corner delay reaches half the period."""
-    buffers = clock_buffer_indices(link)
+    clock = golden_clock_analyze(link, cfg, Corner.MAX)
     out = []
-    for a, b in zip(buffers, buffers[1:]):
-        d = clock_stage_delay(b - a - 1, cfg, Corner.MAX)
+    for (a, b), d in zip(clock.stage_spans, clock.stage_delays):
         if d >= clk.period / 2.0:
             out.append(Violation(
                 ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
@@ -255,10 +203,7 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                                      first_slew, relaunch_slew=cs)
     hold_stages, clamped_h = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN,
                                     first_slew, relaunch_slew=cs)
-
-    arrival_slews = {seg.dst_index: st.slew_out
-                     for seg, st in zip(segments, setup_stages)}
-    clock_arrivals = hasta_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry)
+    latencies = golden_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry).latencies
 
     violations = []
     for seg, st in zip(segments, setup_stages):
@@ -279,7 +224,7 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
         j1 = seg_by_dst[capture]
         d_max = sum(setup_stages[j].delay for j in range(j0, j1 + 1))
         d_min = sum(hold_stages[j].delay for j in range(j0, j1 + 1))
-        skew = (clock_arrivals[capture].latency - clock_arrivals[launch].latency)
+        skew = latencies[capture] - latencies[launch]
         q = block_params(cfg, link.tokens[capture][0])
         s_slack = setup_check(clk.period, clk.jitter, skew, d_max, q.t_su)
         h_slack = hold_check(d_min, skew, q.t_h)
@@ -305,7 +250,6 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     return TimingReport(
         link=link, mode=mode, clock=clk, segments=segments,
         setup_stages=tuple(setup_stages), hold_stages=tuple(hold_stages),
-        arrival_slews=arrival_slews, clock_arrivals=clock_arrivals,
         paths=tuple(paths), violations=tuple(violations),
         lookup_count_setup=len(segments), lookup_count_hold=len(segments),
         clamped=clamped_s or clamped_h)

@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from importlib import resources
 
-from .errors import InvalidValue, MissingKey, ParseError, UnknownSubtype
+from .errors import InvalidValue, MissingKey, ParseError
 
 
 class BlockKind(Enum):
@@ -252,11 +252,8 @@ def _validate(cfg: TechConfig):
             raise InvalidValue(f"area_cost for kind {kind} must be nonnegative")
 
 
-def block_params(cfg: TechConfig, kind: BlockKind,
-                 sub: SubtypeTag = DEFAULT_SUBTYPE) -> BlockParams:
-    """Look up the parameter record for a (kind, subtype) combination."""
-    if sub.clock_buffered and kind is not BlockKind.W:
-        raise UnknownSubtype(f"kind {kind} has no .cb subtype (clock always buffered)")
+def block_params(cfg: TechConfig, kind: BlockKind) -> BlockParams:
+    """The parameter record of a block kind."""
     return cfg.params[kind]
 
 

@@ -93,7 +93,9 @@ def test_nan_launch_slew_is_usage_error(ws, capsys, command):
     link = write_link(ws, "S W W B W W R W W S")
     assert main([command, *args(ws, "--link", link, "--period", "100",
                                 "--launch-slew", "nan")]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: input slew nan is not a number" in captured.err
 
 
 def test_cli_runs_without_numpy(ws, tmp_path):

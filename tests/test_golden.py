@@ -11,7 +11,7 @@ from conftest import corpus, random_link
 from gnoc.golden import (Corner, clock_stage_delay, elmore_wire_delay,
                          golden_clock_analyze, golden_path_analyze,
                          golden_segment)
-from gnoc.grammar import parse_link
+from gnoc.grammar import LinkSentence, parse_link
 from gnoc.hasta import link_digest
 from gnoc.techlib import BlockKind
 
@@ -138,6 +138,19 @@ def test_clock_skew_nonnegative(cfg):
         res = golden_clock_analyze(link, cfg, Corner.MAX)
         assert res.latencies[-1] >= res.latencies[0]
         assert all(b >= a for a, b in zip(res.latencies, res.latencies[1:]))
+
+
+def test_clock_far_end_entry_is_reversed_link(cfg):
+    """Entering at the last token is entering at token 0 of the reversed link."""
+    rng = random.Random(41)
+    for _ in range(500):
+        link = random_link(rng, rng.randint(1, 30), cb_prob=0.3)
+        flipped = LinkSentence(link.tokens[::-1])
+        for corner in Corner:
+            far = golden_clock_analyze(link, cfg, corner, entry_index=len(link) - 1)
+            near = golden_clock_analyze(flipped, cfg, corner)
+            assert far.latencies == near.latencies[::-1]
+            assert far.stage_delays == near.stage_delays
 
 
 def test_regression_corpus_digests(cfg):

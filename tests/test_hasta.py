@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -8,10 +9,10 @@ from conftest import corpus, random_link
 from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
                                reconstruct_lookup, slew_grid, table_lookup)
 from gnoc.errors import NotOnGrid, SegmentTooLong, SlewOutOfRange, TableMismatch
-from gnoc.golden import Corner, golden_path_analyze
+from gnoc.golden import Corner, golden_clock_analyze, golden_path_analyze
 from gnoc.grammar import parse_link, segment_decompose
 from gnoc.hasta import (PathDirection, ViolationKind, analyze_link,
-                        analyze_path, clock_check, clock_slew, hasta_clock_analyze,
+                        analyze_path, clock_check, clock_slew,
                         hold_check, render_report, setup_check)
 from gnoc.techlib import (BlockKind, ClockSpec, default_tech_config,
                           load_tech_config, serialize_tech_config)
@@ -59,31 +60,33 @@ def test_analyze_path_matches_golden_chain(cfg, tables):
 
 
 def test_clock_latencies_sbs(cfg):
-    arr = hasta_clock_analyze(parse_link("S B S"), cfg, Corner.NOMINAL)
-    assert [a.latency for a in arr] == pytest.approx([0.0, 4.32, 8.64])
-    assert [a.governing_buffer_index for a in arr] == [0, 1, 2]
+    res = golden_clock_analyze(parse_link("S B S"), cfg, Corner.NOMINAL)
+    assert res.latencies == pytest.approx([0.0, 4.32, 8.64])
+    assert res.stage_spans == ((0, 1), (1, 2))
 
 
 def test_clock_latency_constant_between_buffers(cfg):
-    arr = hasta_clock_analyze(parse_link("S W W B W S"), cfg, Corner.NOMINAL)
+    lat = golden_clock_analyze(parse_link("S W W B W S"), cfg,
+                               Corner.NOMINAL).latencies
     # wires inherit the latency of the upstream buffer
-    assert arr[1].latency == arr[2].latency == arr[0].latency == 0.0
-    assert arr[4].latency == arr[3].latency
-    assert arr[5].latency > arr[3].latency
+    assert lat[1] == lat[2] == lat[0] == 0.0
+    assert lat[4] == lat[3]
+    assert lat[5] > lat[3]
 
 
 def test_clock_entry_far_end_reverses(cfg):
     link = parse_link("S B S")
-    fwd = hasta_clock_analyze(link, cfg, Corner.NOMINAL, entry_index=0)
-    bwd = hasta_clock_analyze(link, cfg, Corner.NOMINAL, entry_index=2)
-    assert bwd[2].latency == 0.0
-    assert bwd[0].latency == pytest.approx(fwd[2].latency)
+    fwd = golden_clock_analyze(link, cfg, Corner.NOMINAL, entry_index=0)
+    bwd = golden_clock_analyze(link, cfg, Corner.NOMINAL, entry_index=2)
+    assert bwd.latencies[2] == 0.0
+    assert bwd.latencies[0] == pytest.approx(fwd.latencies[2])
+    assert bwd.stage_spans == ((2, 1), (1, 0))
 
 
 def test_clock_entry_interior_rejected(cfg):
     with pytest.raises(ValueError):
-        hasta_clock_analyze(parse_link("S B S"), cfg, Corner.NOMINAL,
-                            entry_index=1)
+        golden_clock_analyze(parse_link("S B S"), cfg, Corner.NOMINAL,
+                             entry_index=1)
 
 
 def test_clock_check_threshold(cfg):
@@ -188,6 +191,23 @@ def test_render_report_smoke(cfg, tables):
     # deterministic
     assert text == render_report(analyze_link(
         parse_link("S W W B W W S"), tables, cfg, ClockSpec(period=100.0)))
+
+
+def test_render_report_pinned(cfg, tables):
+    """Reports for 200 seeded links with the clock entering at either end."""
+    rng = random.Random(8)
+    links = [random_link(rng, rng.randint(1, 40), cb_prob=0.2) for _ in range(200)]
+    digest, size = hashlib.sha256(), 0
+    for link in links:
+        for entry in (0, len(link) - 1):
+            text = render_report(analyze_link(
+                link, tables, cfg, ClockSpec(period=40.0, jitter=1.0),
+                clock_entry=entry)).encode()
+            digest.update(text)
+            size += len(text)
+    assert size == 841_435
+    assert digest.hexdigest() == (
+        "e6f7d83bc59c3f3fbb3b52772a0105dd72634ae748ee4a61c4ce3ae2bdd4190f")
 
 
 def lookup_chain(link, ts, launch_slew, mode, purpose, relaunch_slew=None):

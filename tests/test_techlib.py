@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
-from gnoc.errors import InvalidValue, MissingKey, ParseError, UnknownSubtype
-from gnoc.techlib import (CB_SUBTYPE, BlockKind, ClockSpec, block_params,
-                          load_tech_config, serialize_tech_config, with_slew_grid)
+from gnoc.errors import InvalidValue, MissingKey, ParseError
+from gnoc.techlib import (BlockKind, ClockSpec, block_params, load_tech_config,
+                          serialize_tech_config, with_slew_grid)
 
 MINIMAL = """
 pitch_r = 1.0
@@ -57,14 +57,9 @@ def test_block_params_b(cfg):
 
 
 def test_block_params_w_cb_exposes_clock_buffer(cfg):
-    p = block_params(cfg, BlockKind.W, CB_SUBTYPE)
+    p = block_params(cfg, BlockKind.W)
     assert p.cb_d0 == 4.0
     assert p.cb_c_in == 0.8
-
-
-def test_cb_subtype_invalid_on_s(cfg):
-    with pytest.raises(UnknownSubtype):
-        block_params(cfg, BlockKind.S, CB_SUBTYPE)
 
 
 def test_every_kind_has_entries(cfg):
