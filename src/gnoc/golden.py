@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidValue
 from .grammar import LinkSentence, segment_decompose
@@ -31,8 +32,7 @@ def derate(cfg: TechConfig, corner: Corner) -> float:
     return 1.0
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """Delay through one segment and the slew at the destination input pin."""
 
     delay: float
@@ -103,11 +103,9 @@ class ClockResult:
 
 def clock_buffer_indices(link: LinkSentence) -> list[int]:
     """Tokens carrying a clock buffer: every active block plus every W.cb."""
-    out = []
-    for i, (kind, sub) in enumerate(link.tokens):
-        if kind in ACTIVE_KINDS or sub.clock_buffered:
-            out.append(i)
-    return out
+    wire = BlockKind.W
+    return [i for i, (kind, sub) in enumerate(link.tokens)
+            if kind is not wire or sub.clock_buffered]
 
 
 def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
@@ -125,25 +123,26 @@ def golden_clock_analyze(link: LinkSentence, cfg: TechConfig, corner: Corner,
     buffers are then taken in reverse order.  A token's latency is the arrival
     at its governing buffer, the last buffer at or before it in propagation
     order: the sum of the stage delays before that buffer (zero at the entry).
+    A stage's delay depends only on its wire count; each count is evaluated once.
     """
-    n = len(link)
     buffers = clock_buffer_indices(link)
-    if entry_index == 0:
-        step = 1
-    elif entry_index == n - 1:
-        step = -1
+    gaps = [b - a - 1 for a, b in zip(buffers, buffers[1:])]  # wires per stage
+    far = entry_index == len(link) - 1
+    if far:
         buffers.reverse()
-    else:
+        gaps.reverse()
+    elif entry_index != 0:
         raise ValueError(f"clock must enter at a link end, got token {entry_index}")
 
-    stage_spans = tuple(zip(buffers, buffers[1:]))
-    stage_delays = tuple(clock_stage_delay(abs(b - a) - 1, cfg, corner)
-                         for a, b in stage_spans)
-    latencies = [0.0] * n
+    delay_of = {g: clock_stage_delay(g, cfg, corner) for g in set(gaps)}
+    stage_delays = tuple(map(delay_of.__getitem__, gaps))
+    latencies = []  # in propagation order
     lat = 0.0
-    for (a, b), d in zip(stage_spans, stage_delays):
-        latencies[a:b:step] = [lat] * abs(b - a)  # buffer a and the wires after it
+    for g, d in zip(gaps, stage_delays):
+        latencies += [lat] * (g + 1)  # the stage's buffer and its wires
         lat += d
-    latencies[buffers[-1]] = lat
+    latencies.append(lat)
+    if far:
+        latencies.reverse()
     return ClockResult(latencies=tuple(latencies), stage_delays=stage_delays,
-                       stage_spans=stage_spans)
+                       stage_spans=tuple(zip(buffers, buffers[1:])))

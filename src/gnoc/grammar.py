@@ -9,6 +9,7 @@ two S tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GrammarError, LexError, SubtypeError
 from .techlib import CB_SUBTYPE, DEFAULT_SUBTYPE, ACTIVE_KINDS, BlockKind, SubtypeTag
@@ -30,8 +31,7 @@ class LinkSentence:
         return [i for i, (k, _) in enumerate(self.tokens) if k in ACTIVE_KINDS]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One active-to-active stretch: src/dst blocks plus intervening wire count."""
 
     src_kind: BlockKind

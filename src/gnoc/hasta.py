@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-# table_lookup and reconstruct_lookup stay importable from here; perfbench's
-# tracer wraps them under these names.
+# table_lookup, reconstruct_lookup and segment_decompose stay importable from
+# here; perfbench's tracer wraps them under these names.
 from .characterize import (LookupMode, LookupPurpose, TableSet,
                            reconstruct_lookup, table_lookup, view_lookup)
 from .errors import TableMismatch
@@ -109,8 +109,8 @@ def clock_slew(cfg: TechConfig) -> float:
     return block_params(cfg, BlockKind.B).cb_s0
 
 
-def _steps(link: LinkSentence) -> list[tuple[int, int, int, bool]]:
-    """(src, dst, n_wires, src is R or S) per segment, from one walk over the tokens.
+def _steps(link: LinkSentence) -> list[tuple[int, int, int, bool, int]]:
+    """(src, dst, n_wires, src is R or S, src token) per segment, from one walk.
 
     src and dst index ACTIVE_KINDS.  This is segment_decompose without the
     Segment records, which the chaining loop does not need.
@@ -123,7 +123,7 @@ def _steps(link: LinkSentence) -> list[tuple[int, int, int, bool]]:
             continue
         dst = index(kind)
         if src is not None:
-            steps.append((src, dst, i - at - 1, sequential))
+            steps.append((src, dst, i - at - 1, sequential, at))
         src, at, sequential = dst, i, kind is not buffer
     return steps
 
@@ -145,7 +145,7 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
     any_clamped = False
     slew = launch_slew
     chained = False
-    for src, dst, n_wires, sequential in steps:
+    for src, dst, n_wires, sequential, _ in steps:
         if chained and sequential and relaunch_slew is not None:
             slew, chained = relaunch_slew, False
         stage = view_lookup(views[src][dst], n_wires, slew, mode, purpose,
@@ -194,7 +194,6 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     if ts.cfg_digest != cfg.digest():
         raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
                             f"analysis cfg is {cfg.digest()}")
-    segments = tuple(segment_decompose(link))
     steps = _steps(link)
     cs = clock_slew(cfg)
     # the link starts with S, so without a launch slew it launches from the clock
@@ -205,27 +204,29 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                                     first_slew, relaunch_slew=cs)
     latencies = golden_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry).latencies
 
-    violations = []
-    for seg, st in zip(segments, setup_stages):
-        if st.slew_out > cfg.slew_legal_max:
-            violations.append(Violation(
-                ViolationKind.SLEW_RANGE,
-                location=f"segment {seg.src_index}->{seg.dst_index}",
-                detail=f"slew {st.slew_out:.6g} exceeds legal max "
-                       f"{cfg.slew_legal_max:.6g}"))
-
-    flops = [i for i, (k, _) in enumerate(link.tokens)
-             if k in (BlockKind.R, BlockKind.S)]
-    seg_by_src = {seg.src_index: j for j, seg in enumerate(segments)}
-    seg_by_dst = {seg.dst_index: j for j, seg in enumerate(segments)}
+    segments = []
+    slew_violations = []
+    path_violations = []
     paths = []
-    for launch, capture in zip(flops, flops[1:]):
-        j0 = seg_by_src[launch]
-        j1 = seg_by_dst[capture]
-        d_max = sum(setup_stages[j].delay for j in range(j0, j1 + 1))
-        d_min = sum(hold_stages[j].delay for j in range(j0, j1 + 1))
+    buffer = ACTIVE_KINDS.index(BlockKind.B)
+    launch, d_max, d_min = 0, 0.0, 0.0
+    for (src, dst, n_wires, _, at), smax, smin in zip(steps, setup_stages,
+                                                       hold_stages):
+        capture = at + n_wires + 1
+        segments.append(Segment(ACTIVE_KINDS[src], ACTIVE_KINDS[dst], n_wires,
+                                at, capture))
+        if smax.slew_out > cfg.slew_legal_max:
+            slew_violations.append(Violation(
+                ViolationKind.SLEW_RANGE,
+                location=f"segment {at}->{capture}",
+                detail=f"slew {smax.slew_out:.6g} exceeds legal max "
+                       f"{cfg.slew_legal_max:.6g}"))
+        d_max += smax.delay
+        d_min += smin.delay
+        if dst == buffer:  # a flop-to-flop path closes at R or S
+            continue
         skew = latencies[capture] - latencies[launch]
-        q = block_params(cfg, link.tokens[capture][0])
+        q = block_params(cfg, ACTIVE_KINDS[dst])
         s_slack = setup_check(clk.period, clk.jitter, skew, d_max, q.t_su)
         h_slack = hold_check(d_min, skew, q.t_h)
         direction = (PathDirection.FORWARD if skew >= 0.0
@@ -234,21 +235,21 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                                s_slack, h_slack, direction))
         loc = f"path {launch}->{capture}"
         if s_slack < 0.0:
-            violations.append(Violation(ViolationKind.SETUP, loc,
-                                        f"setup slack {s_slack:.6g}"))
+            path_violations.append(Violation(ViolationKind.SETUP, loc,
+                                             f"setup slack {s_slack:.6g}"))
         if h_slack < 0.0:
-            violations.append(Violation(ViolationKind.HOLD, loc,
-                                        f"hold slack {h_slack:.6g}"))
+            path_violations.append(Violation(ViolationKind.HOLD, loc,
+                                             f"hold slack {h_slack:.6g}"))
         if d_max > clk.period:
-            violations.append(Violation(
+            path_violations.append(Violation(
                 ViolationKind.COMB_GT_PERIOD, loc,
                 detail=f"combinational delay {d_max:.6g} > period "
                        f"{clk.period:.6g}"))
-
-    violations.extend(clock_check(link, cfg, clk))
+        launch, d_max, d_min = capture, 0.0, 0.0
+    violations = slew_violations + path_violations + clock_check(link, cfg, clk)
 
     return TimingReport(
-        link=link, mode=mode, clock=clk, segments=segments,
+        link=link, mode=mode, clock=clk, segments=tuple(segments),
         setup_stages=tuple(setup_stages), hold_stages=tuple(hold_stages),
         paths=tuple(paths), violations=tuple(violations),
         lookup_count_setup=len(segments), lookup_count_hold=len(segments),

@@ -95,7 +95,11 @@ def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,
     would breach the half-period bound, then the current wire takes a clock
     buffer.  Existing .cb tags are discarded and re-derived.
     """
-    limit = max_clock_run(cfg, spec.period)
+    return _promote_clock_buffers(link, max_clock_run(cfg, spec.period))
+
+
+def _promote_clock_buffers(link: LinkSentence, limit: int) -> LinkSentence:
+    """assign_clock_subtypes for a known max_clock_run limit."""
     tokens = []
     run = 0
     for kind, sub in link.tokens:
@@ -196,6 +200,12 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
     iterations = 0
     log: list[str] = []
     last_reasons: list[str] = ["no candidate attempted"]
+    # the limit depends only on the period, so it is found once per spec;
+    # when it does not exist, every candidate is refused for that reason
+    try:
+        limit, unsatisfiable = max_clock_run(cfg, spec.period), None
+    except ClockUnsatisfiable as exc:
+        limit, unsatisfiable = 0, f"ClockUnsatisfiable: {exc}"
 
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
@@ -205,12 +215,11 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         for budgets in _budget_vectors(sub_lens, minima):
             candidate = _assemble(M, reg_pos, budgets)
             iterations += 1
-            try:
-                candidate = assign_clock_subtypes(candidate, spec, cfg)
-            except ClockUnsatisfiable as exc:
-                last_reasons = [f"ClockUnsatisfiable: {exc}"]
-                log.append(f"{serialize_link(candidate)} -> {last_reasons[0]}")
+            if unsatisfiable is not None:
+                last_reasons = [unsatisfiable]
+                log.append(f"{serialize_link(candidate)} -> {unsatisfiable}")
                 continue
+            candidate = _promote_clock_buffers(candidate, limit)
             ok, reasons = is_valid(candidate, spec, ts, cfg)
             if ok:
                 kinds = candidate.kinds()[1:-1]

@@ -153,6 +153,36 @@ def test_clock_far_end_entry_is_reversed_link(cfg):
             assert far.stage_delays == near.stage_delays
 
 
+def test_clock_stages_match_per_stage_loop(cfg):
+    """Each stage's delay is clock_stage_delay of its own span, bit for bit,
+    and each token's latency is the running sum of the stages before its
+    governing buffer, however many stages share a wire count."""
+    rng = random.Random(43)
+    for _ in range(200):
+        link = random_link(rng, rng.randint(1, 30), w_hi=12, cb_prob=0.1)
+        buffers = [i for i, (kind, sub) in enumerate(link.tokens)
+                   if kind is not BlockKind.W or sub.clock_buffered]
+        for entry in (0, len(link) - 1):
+            order = buffers if entry == 0 else buffers[::-1]
+            walk = range(len(link)) if entry == 0 else range(len(link) - 1, -1, -1)
+            spans = tuple(zip(order, order[1:]))
+            downstream = set(order[1:])
+            for corner in Corner:
+                res = golden_clock_analyze(link, cfg, corner, entry_index=entry)
+                delays = tuple(clock_stage_delay(abs(b - a) - 1, cfg, corner)
+                               for a, b in spans)
+                assert res.stage_spans == spans
+                assert res.stage_delays == delays
+                latencies = [0.0] * len(link)
+                lat, stage = 0.0, 0
+                for i in walk:
+                    if i in downstream:
+                        lat += delays[stage]
+                        stage += 1
+                    latencies[i] = lat
+                assert res.latencies == tuple(latencies)
+
+
 def test_regression_corpus_digests(cfg):
     """Frozen arrivals over a seeded 1000-link corpus guard the oracle."""
     expected = {}

@@ -294,6 +294,37 @@ def test_analyze_link_stages_equal_relaunching_chain(cfg, tables, mode):
             assert rep.clamped == any(st.clamped for st in setup + hold)
 
 
+def test_analyze_link_agrees_with_clock_oracle(cfg, tables):
+    """Segments, paths, skews and clock violations follow segment_decompose
+    and golden_clock_analyze exactly, with the clock at either end."""
+    rng = random.Random(57)
+    for _ in range(150):
+        link = random_link(rng, rng.randint(1, 30), w_lo=2, w_hi=5, cb_prob=0.15)
+        flops = [i for i, (kind, _) in enumerate(link.tokens)
+                 if kind in (BlockKind.R, BlockKind.S)]
+        segments = tuple(segment_decompose(link))
+        for entry in (0, len(link) - 1):
+            latencies = golden_clock_analyze(link, cfg, Corner.NOMINAL,
+                                             entry_index=entry).latencies
+            for clk in (ClockSpec(period=20.0, jitter=1.0), ClockSpec(period=170.0)):
+                rep = analyze_link(link, tables, cfg, clk, clock_entry=entry)
+                assert rep.segments == segments
+                assert [(p.launch_index, p.capture_index) for p in rep.paths] \
+                    == list(zip(flops, flops[1:]))
+                for p in rep.paths:
+                    assert p.skew == latencies[p.capture_index] - latencies[p.launch_index]
+                    d_max = 0.0
+                    for seg, st in zip(segments, rep.setup_stages):
+                        if p.launch_index <= seg.src_index < p.capture_index:
+                            d_max += st.delay
+                    assert p.path_delay_max == d_max
+                clock = [v for v in rep.violations
+                         if v.kind is ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD]
+                assert clock == clock_check(link, cfg, clk)
+        with pytest.raises(ValueError):
+            analyze_link(link, tables, cfg, RELAXED, clock_entry=len(link) // 2)
+
+
 def test_analyze_link_linear_time(cfg, tables):
     """Criterion 5's growth bound, applied to the whole link analysis."""
     rng = random.Random(55)
