@@ -327,10 +327,8 @@ def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
         if mode is LookupMode.EXACT:
             raise NotOnGrid(f"slew {slew_in} is not a grid row (EXACT mode)")
         if mode is LookupMode.PESSIMISTIC:
-            if purpose is LookupPurpose.SETUP_MAX:
-                pick = hi if d_hi >= d_lo else lo
-            else:
-                pick = lo if d_lo <= d_hi else hi
+            # delay is non-decreasing along slew rows (validate_tables)
+            pick = hi if purpose is LookupPurpose.SETUP_MAX else lo
             return StageResult(delay[pick][n_wires], slew[pick][n_wires], clamped)
 
     frac = (slew_in - rows[lo]) / (rows[hi] - rows[lo])

@@ -70,12 +70,23 @@ def golden_segment(src: BlockKind, dst: BlockKind, n_wires: int, slew_in: float,
 
 @dataclass(frozen=True)
 class PathResult:
+    """A chained path analysis, from the oracle or from the tables."""
+
     stages: tuple[StageResult, ...]
     arrivals: tuple[float, ...]   # cumulative delay at each active block after the first
 
     @property
     def total_delay(self) -> float:
         return self.arrivals[-1] if self.arrivals else 0.0
+
+    @property
+    def lookup_count(self) -> int:
+        return len(self.stages)
+
+    @property
+    def clamped(self) -> bool:
+        """Whether any table lookup clamped its input slew (never for the oracle)."""
+        return any(st.clamped for st in self.stages)
 
 
 def golden_path_analyze(link: LinkSentence, launch_slew: float, corner: Corner,

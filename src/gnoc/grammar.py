@@ -27,9 +27,6 @@ class LinkSentence:
     def kinds(self) -> tuple[BlockKind, ...]:
         return tuple(k for k, _ in self.tokens)
 
-    def active_indices(self) -> list[int]:
-        return [i for i, (k, _) in enumerate(self.tokens) if k in ACTIVE_KINDS]
-
 
 class Segment(NamedTuple):
     """One active-to-active stretch: src/dst blocks plus intervening wire count."""
@@ -88,16 +85,26 @@ def serialize_link(link: LinkSentence) -> str:
     return " ".join(token_text(t) for t in link.tokens)
 
 
+def segment_steps(link: LinkSentence) -> list[tuple[int, int, int, bool, int]]:
+    """(src, dst, n_wires, src is R or S, src token) per segment, from one walk.
+
+    src and dst index ACTIVE_KINDS.  The chaining loops of the link analysis
+    read these tuples directly; segment_decompose builds Segment records.
+    """
+    wire, buffer, index = BlockKind.W, BlockKind.B, ACTIVE_KINDS.index
+    steps = []
+    src = None
+    for i, (kind, _) in enumerate(link.tokens):
+        if kind is wire:
+            continue
+        dst = index(kind)
+        if src is not None:
+            steps.append((src, dst, i - at - 1, sequential, at))
+        src, at, sequential = dst, i, kind is not buffer
+    return steps
+
+
 def segment_decompose(link: LinkSentence) -> list[Segment]:
     """Split a valid link into active-to-active segments covering it exactly."""
-    active = link.active_indices()
-    segments = []
-    for a, b in zip(active, active[1:]):
-        segments.append(Segment(
-            src_kind=link.tokens[a][0],
-            dst_kind=link.tokens[b][0],
-            n_wires=b - a - 1,
-            src_index=a,
-            dst_index=b,
-        ))
-    return segments
+    return [Segment(ACTIVE_KINDS[s], ACTIVE_KINDS[d], n, at, at + n + 1)
+            for s, d, n, _, at in segment_steps(link)]

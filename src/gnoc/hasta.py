@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-# table_lookup, reconstruct_lookup and segment_decompose stay importable from
-# here; perfbench's tracer wraps them under these names.
+# table_lookup and reconstruct_lookup stay importable from here; perfbench's
+# tracer wraps them under these names.
 from .characterize import (LookupMode, LookupPurpose, TableSet,
                            reconstruct_lookup, table_lookup, view_lookup)
 from .errors import TableMismatch
-from .golden import Corner, StageResult, golden_clock_analyze
-from .grammar import LinkSentence, Segment, segment_decompose, serialize_link
+from .golden import Corner, PathResult, StageResult, golden_clock_analyze
+from .grammar import (LinkSentence, Segment, segment_decompose, segment_steps,
+                      serialize_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
 
@@ -60,36 +61,27 @@ class PathCheck:
 
 
 @dataclass(frozen=True)
-class PathAnalysis:
-    """Chained table analysis of a whole link from one launch slew."""
-
-    stages: tuple[StageResult, ...]
-    arrivals: tuple[float, ...]
-    lookup_count: int
-    clamped: bool
-
-    @property
-    def total_delay(self) -> float:
-        return self.arrivals[-1] if self.arrivals else 0.0
-
-
-@dataclass(frozen=True)
 class TimingReport:
     link: LinkSentence
     mode: LookupMode
     clock: ClockSpec
-    segments: tuple[Segment, ...]
     setup_stages: tuple[StageResult, ...]
     hold_stages: tuple[StageResult, ...]
     paths: tuple[PathCheck, ...]
     violations: tuple[Violation, ...]
-    lookup_count_setup: int
-    lookup_count_hold: int
-    clamped: bool = False
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(segment_decompose(self.link))
+
+    @property
+    def clamped(self) -> bool:
+        """Whether any lookup of either pass clamped its input slew."""
+        return any(st.clamped for st in self.setup_stages + self.hold_stages)
 
 
 def setup_check(period: float, jitter: float, skew: float,
@@ -109,40 +101,19 @@ def clock_slew(cfg: TechConfig) -> float:
     return block_params(cfg, BlockKind.B).cb_s0
 
 
-def _steps(link: LinkSentence) -> list[tuple[int, int, int, bool, int]]:
-    """(src, dst, n_wires, src is R or S, src token) per segment, from one walk.
-
-    src and dst index ACTIVE_KINDS.  This is segment_decompose without the
-    Segment records, which the chaining loop does not need.
-    """
-    wire, buffer, index = BlockKind.W, BlockKind.B, ACTIVE_KINDS.index
-    steps = []
-    src = None
-    for i, (kind, _) in enumerate(link.tokens):
-        if kind is wire:
-            continue
-        dst = index(kind)
-        if src is not None:
-            steps.append((src, dst, i - at - 1, sequential, at))
-        src, at, sequential = dst, i, kind is not buffer
-    return steps
-
-
 def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
            launch_slew: float,
-           relaunch_slew: float | None = None) -> tuple[list[StageResult], bool]:
+           relaunch_slew: float | None = None) -> list[StageResult]:
     """Chain one table lookup per segment, slew feeding forward.
 
     The first segment starts from launch_slew.  Given relaunch_slew, a later
     segment with a sequential (R or S) source starts from it instead: the path
     relaunches from the clock edge.  In EXACT mode chained slews, which drift
     off the grid, are served by the quantization-free table reconstruction.
-    Returns the stages and whether any lookup clamped.
     """
     views = ts.views[purpose]
     reconstruct = mode is LookupMode.EXACT
     stages = []
-    any_clamped = False
     slew = launch_slew
     chained = False
     for src, dst, n_wires, sequential, _ in steps:
@@ -151,14 +122,13 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
         stage = view_lookup(views[src][dst], n_wires, slew, mode, purpose,
                             chained and reconstruct)
         stages.append(stage)
-        any_clamped = any_clamped or stage.clamped
         slew = stage.slew_out
         chained = True
-    return stages, any_clamped
+    return stages
 
 
 def analyze_path(link: LinkSentence, ts: TableSet, launch_slew: float,
-                 mode: LookupMode, purpose: LookupPurpose) -> PathAnalysis:
+                 mode: LookupMode, purpose: LookupPurpose) -> PathResult:
     """Chain table lookups over all segments, slew feeding forward.
 
     This is the table-side mirror of the golden path analysis: no relaunch at
@@ -166,10 +136,9 @@ def analyze_path(link: LinkSentence, ts: TableSet, launch_slew: float,
     a grid row; chained slews that drift off the grid are served by the
     quantization-free table reconstruction.
     """
-    stages, clamped = _chain(_steps(link), ts, mode, purpose, launch_slew)
-    return PathAnalysis(stages=tuple(stages),
-                        arrivals=tuple(accumulate(st.delay for st in stages)),
-                        lookup_count=len(stages), clamped=clamped)
+    stages = _chain(segment_steps(link), ts, mode, purpose, launch_slew)
+    return PathResult(stages=tuple(stages),
+                      arrivals=tuple(accumulate(st.delay for st in stages)))
 
 
 def clock_check(link: LinkSentence, cfg: TechConfig,
@@ -194,27 +163,24 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     if ts.cfg_digest != cfg.digest():
         raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
                             f"analysis cfg is {cfg.digest()}")
-    steps = _steps(link)
+    steps = segment_steps(link)
     cs = clock_slew(cfg)
     # the link starts with S, so without a launch slew it launches from the clock
     first_slew = cs if launch_slew is None else launch_slew
-    setup_stages, clamped_s = _chain(steps, ts, mode, LookupPurpose.SETUP_MAX,
-                                     first_slew, relaunch_slew=cs)
-    hold_stages, clamped_h = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN,
-                                    first_slew, relaunch_slew=cs)
+    setup_stages = _chain(steps, ts, mode, LookupPurpose.SETUP_MAX, first_slew,
+                          relaunch_slew=cs)
+    hold_stages = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN, first_slew,
+                         relaunch_slew=cs)
     latencies = golden_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry).latencies
 
-    segments = []
     slew_violations = []
     path_violations = []
     paths = []
     buffer = ACTIVE_KINDS.index(BlockKind.B)
     launch, d_max, d_min = 0, 0.0, 0.0
-    for (src, dst, n_wires, _, at), smax, smin in zip(steps, setup_stages,
-                                                       hold_stages):
+    for (_, dst, n_wires, _, at), smax, smin in zip(steps, setup_stages,
+                                                     hold_stages):
         capture = at + n_wires + 1
-        segments.append(Segment(ACTIVE_KINDS[src], ACTIVE_KINDS[dst], n_wires,
-                                at, capture))
         if smax.slew_out > cfg.slew_legal_max:
             slew_violations.append(Violation(
                 ViolationKind.SLEW_RANGE,
@@ -249,11 +215,9 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     violations = slew_violations + path_violations + clock_check(link, cfg, clk)
 
     return TimingReport(
-        link=link, mode=mode, clock=clk, segments=tuple(segments),
-        setup_stages=tuple(setup_stages), hold_stages=tuple(hold_stages),
-        paths=tuple(paths), violations=tuple(violations),
-        lookup_count_setup=len(segments), lookup_count_hold=len(segments),
-        clamped=clamped_s or clamped_h)
+        link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),
+        hold_stages=tuple(hold_stages), paths=tuple(paths),
+        violations=tuple(violations))
 
 
 def link_digest(link: LinkSentence) -> str:
@@ -266,8 +230,8 @@ def render_report(report: TimingReport) -> str:
     out = [
         f"link {link_digest(report.link)} tokens={len(report.link)} "
         f"mode={report.mode.value} T={clk.period:.6g} jitter={clk.jitter:.6g}",
-        f"lookups setup={report.lookup_count_setup} "
-        f"hold={report.lookup_count_hold} clamped={int(report.clamped)}",
+        f"lookups setup={len(report.setup_stages)} "
+        f"hold={len(report.hold_stages)} clamped={int(report.clamped)}",
         "",
         "seg_index,src,dst,n_wires,slew_in,delay_max,delay_min,slew_out",
     ]

@@ -34,9 +34,7 @@ class LinkSpec:
     def __post_init__(self):
         if self.length_slots < 1:
             raise GnocError(f"length_slots must be >= 1, got {self.length_slots}")
-        if not self.period > self.jitter >= 0.0:
-            raise GnocError(f"spec requires period > jitter >= 0, "
-                            f"got T={self.period} jitter={self.jitter}")
+        self.clock  # ClockSpec checks period > jitter >= 0
 
     @property
     def clock(self) -> ClockSpec:
@@ -182,16 +180,12 @@ def _compositions(total, bounds, minima, j):
 
 
 def _min_buffers_for_gap(m: int, K: int) -> int:
-    """Fewest evenly-placed buffers so no segment exceeds K-1 intervening wires."""
-    for b in range(m + 1):
-        if _max_gap(m, b) <= K - 1:
-            return b
-    return m
+    """Fewest evenly-placed buffers so no segment exceeds K-1 intervening wires.
 
-
-def _max_gap(m: int, b: int) -> int:
-    pos = [0] + insert_evenly(m, b) + [m + 1]
-    return max(q - p - 1 for p, q in zip(pos, pos[1:]))
+    b buffers split m wires into b + 1 runs of at most ceil((m - b) / (b + 1))
+    wires, which is at most K - 1 exactly when b + 1 >= (m + 1) / K.
+    """
+    return -(-(m + 1) // K) - 1
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:

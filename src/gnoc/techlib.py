@@ -106,11 +106,10 @@ class TechConfig:
 
 @dataclass(frozen=True)
 class ClockSpec:
-    """Global clock: period and jitter in tu, source slew in su."""
+    """Global clock: period and jitter in tu."""
 
     period: float
     jitter: float = 0.0
-    source_slew: float = 4.0
 
     def __post_init__(self):
         if not self.period > self.jitter >= 0.0:

@@ -9,7 +9,8 @@ import pytest
 from conftest import ACTIVE
 from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
                                load_tables, reconstruct_lookup, save_tables,
-                               slew_grid, table_lookup, tables_equal)
+                               slew_grid, table_lookup, tables_equal,
+                               validate_tables)
 from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
                          MonotonicityError, NotOnGrid, SegmentTooLong,
                          SlewOutOfRange)
@@ -141,6 +142,12 @@ def test_monotonicity_error(cfg, tables):
             break
     with pytest.raises(MonotonicityError):
         load_tables(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("L", [2, 10, 37])
+def test_built_tables_pass_validation(cfg, L):
+    """Oracle-built tables are monotone in slew, which PESSIMISTIC lookups rely on."""
+    validate_tables(build_tables(with_slew_grid(cfg, L)))
 
 
 def test_version_gate(tables):

@@ -102,8 +102,7 @@ def test_analyze_link_clean(cfg, tables):
     rep = analyze_link(parse_link("S W W B W W S"), tables, cfg,
                        ClockSpec(period=100.0))
     assert rep.ok
-    assert rep.lookup_count_setup == 2
-    assert rep.lookup_count_hold == 2
+    assert render_report(rep).splitlines()[1].startswith("lookups setup=2 hold=2 ")
     assert len(rep.paths) == 1
     p = rep.paths[0]
     assert p.direction is PathDirection.FORWARD
@@ -331,12 +330,16 @@ def test_analyze_link_linear_time(cfg, tables):
     small = random_link(rng, 1000, w_lo=2, w_hi=4)
     large = random_link(rng, 10000, w_lo=2, w_hi=4)
     best = [math.inf, math.inf]
+    reports = [None, None]
     for _ in range(5):
         for k, link in enumerate((small, large)):
             t0 = time.perf_counter()
-            rep = analyze_link(link, tables, cfg, RELAXED)
+            reports[k] = analyze_link(link, tables, cfg, RELAXED)
             best[k] = min(best[k], time.perf_counter() - t0)
-            assert rep.lookup_count_setup == len(segment_decompose(link))
+    for link, rep in zip((small, large), reports):
+        n = len(segment_decompose(link))
+        assert render_report(rep).splitlines()[1].startswith(
+            f"lookups setup={n} hold={n} ")
     ratio = best[1] / best[0]
     assert 5.0 <= ratio <= 15.0, (
         f"10^4/10^3 analyze_link time ratio {ratio:.1f} outside [5, 15] "

@@ -12,7 +12,6 @@ PACKAGE = Path(gnoc.__file__).resolve().parent
 ALLOWED = {
     ("hasta.py", "table_lookup"),
     ("hasta.py", "reconstruct_lookup"),
-    ("hasta.py", "segment_decompose"),
 }
 
 

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from gnoc.errors import ClockUnsatisfiable, GnocError
 from gnoc.grammar import parse_link, serialize_link
-from gnoc.synthesize import (LinkSpec, assign_clock_subtypes, insert_evenly,
-                             is_valid, link_cost, max_clock_run,
-                             synthesize_link)
+from gnoc.synthesize import (LinkSpec, _min_buffers_for_gap,
+                             assign_clock_subtypes, insert_evenly, is_valid,
+                             link_cost, max_clock_run, synthesize_link)
 from gnoc.techlib import BlockKind
 
 
@@ -35,6 +35,22 @@ def test_insert_evenly_gaps_balanced(M, n):
     fence = [0] + pos + [M + 1]
     gaps = [b - a - 1 for a, b in zip(fence, fence[1:])]
     assert max(gaps) - min(gaps) <= 1
+
+
+def test_min_buffers_for_gap_closed_form():
+    """The formula equals the fewest evenly placed buffers leaving runs <= K - 1."""
+    K_MAX = 40
+    for m in range(300):
+        want = {}
+        for b in range(m + 1):
+            fence = [0] + insert_evenly(m, b) + [m + 1]
+            longest = max(q - p - 1 for p, q in zip(fence, fence[1:]))
+            for K in range(longest + 1, K_MAX + 1):
+                want.setdefault(K, b)
+            if len(want) == K_MAX:
+                break
+        assert [_min_buffers_for_gap(m, K) for K in range(1, K_MAX + 1)] \
+            == [want[K] for K in range(1, K_MAX + 1)], m
 
 
 def test_link_cost_example(cfg):
