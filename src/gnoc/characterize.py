@@ -97,6 +97,15 @@ class TableSet:
                           for src in ACTIVE_KINDS]
                 for purpose in LookupPurpose}
 
+    @cached_property
+    def memo(self) -> dict:
+        """LookupPurpose -> [src][dst] dict: (n_wires, slew_in) -> PESSIMISTIC StageResult.
+
+        Filled by hasta's chaining loop; see there for which lookups enter it.
+        """
+        return {purpose: [[{} for _ in ACTIVE_KINDS] for _ in ACTIVE_KINDS]
+                for purpose in LookupPurpose}
+
 
 def slew_grid(cfg: TechConfig) -> list[float]:
     """L evenly spaced slews: row i is i * step + slew_grid_min, the last is slew_grid_max.

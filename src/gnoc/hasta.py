@@ -7,6 +7,19 @@ Flop-to-flop paths between consecutive R/S blocks get setup and hold slacks
 with skew and jitter folded in, plus the four structural checks: slew
 legality, combinational delay vs. the period, and clock-stage half-period
 coverage.
+
+PESSIMISTIC lookups are memoized per TableSet (TableSet.memo): per purpose
+and (src, dst) pair, a dict keyed (n_wires, slew_in).  In that mode every
+chained slew is a table slew_out cell and every relaunch slew is the clock
+slew, so the keys come from a finite set and the memo stays bounded by the
+tables, shared by every analysis and synthesis candidate in a process.  The
+first lookup of a chain starts from the caller's launch slew, which may be
+any value, so it bypasses the memo.  INTERPOLATE and EXACT chain continuous
+slews that rarely repeat; they look up directly.
+
+Each analyze_link call walks the clock model once, at the NOMINAL corner
+for skew; the clock-stage violations are judged from that walk's stage
+spans, with one MAX-corner stage delay per distinct wire gap.
 """
 
 from __future__ import annotations
@@ -21,7 +34,8 @@ from itertools import accumulate
 from .characterize import (LookupMode, LookupPurpose, TableSet,
                            reconstruct_lookup, table_lookup, view_lookup)
 from .errors import TableMismatch
-from .golden import Corner, PathResult, StageResult, golden_clock_analyze
+from .golden import (Corner, PathResult, StageResult, clock_stage_delay,
+                     golden_clock_analyze)
 from .grammar import (LinkSentence, Segment, segment_decompose, segment_steps,
                       serialize_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
@@ -110,8 +124,17 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
     segment with a sequential (R or S) source starts from it instead: the path
     relaunches from the clock edge.  In EXACT mode chained slews, which drift
     off the grid, are served by the quantization-free table reconstruction.
+
+    In PESSIMISTIC mode every lookup after the first reads through ts.memo,
+    keyed (n_wires, slew_in) per purpose and pair.  Its slew is a table
+    slew_out cell or relaunch_slew (the clock slew), so at most
+    K * (9 * L * K + 1) keys per pair and purpose arise; the first lookup's
+    arbitrary launch slew never enters.  Errors are not stored, so they
+    raise on every call.  INTERPOLATE and EXACT slews are continuous and
+    seldom repeat, so those modes look up directly.
     """
     views = ts.views[purpose]
+    memo = ts.memo[purpose] if mode is LookupMode.PESSIMISTIC else None
     reconstruct = mode is LookupMode.EXACT
     stages = []
     slew = launch_slew
@@ -119,8 +142,15 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
     for src, dst, n_wires, sequential, _ in steps:
         if chained and sequential and relaunch_slew is not None:
             slew, chained = relaunch_slew, False
-        stage = view_lookup(views[src][dst], n_wires, slew, mode, purpose,
-                            chained and reconstruct)
+        if memo is not None and stages:
+            cell, key = memo[src][dst], (n_wires, slew)
+            stage = cell.get(key)
+            if stage is None:
+                stage = cell[key] = view_lookup(views[src][dst], n_wires, slew,
+                                                mode, purpose)
+        else:
+            stage = view_lookup(views[src][dst], n_wires, slew, mode, purpose,
+                                chained and reconstruct)
         stages.append(stage)
         slew = stage.slew_out
         chained = True
@@ -141,18 +171,35 @@ def analyze_path(link: LinkSentence, ts: TableSet, launch_slew: float,
                       arrivals=tuple(accumulate(st.delay for st in stages)))
 
 
+def _clock_violations(spans: tuple, cfg: TechConfig,
+                      clk: ClockSpec) -> list[Violation]:
+    """CLOCK_UNBUFFERED violations over clock stage spans, in forward token order.
+
+    spans are a ClockResult's stage_spans at any corner and either entry;
+    each distinct wire gap is judged by its MAX-corner stage delay.
+    """
+    half = clk.period / 2.0
+    late = {}  # token distance between a stage's buffers -> its late delay
+    for step in {b - a for a, b in spans}:  # negative for far-end entry
+        n = abs(step)
+        d = clock_stage_delay(n - 1, cfg, Corner.MAX)
+        if d >= half:
+            late[n] = d
+    if not late:
+        return []
+    if spans[0][0] > spans[0][1]:  # far-end entry: spans run backwards
+        spans = [(b, a) for a, b in reversed(spans)]
+    return [Violation(ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
+                      location=f"tokens {a}..{b}",
+                      detail=f"clock stage delay {late[b - a]:.6g} >= T/2 = {half:.6g}")
+            for a, b in spans if b - a in late]
+
+
 def clock_check(link: LinkSentence, cfg: TechConfig,
                 clk: ClockSpec) -> list[Violation]:
     """Flag every clock stage whose MAX-corner delay reaches half the period."""
-    clock = golden_clock_analyze(link, cfg, Corner.MAX)
-    out = []
-    for (a, b), d in zip(clock.stage_spans, clock.stage_delays):
-        if d >= clk.period / 2.0:
-            out.append(Violation(
-                ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
-                location=f"tokens {a}..{b}",
-                detail=f"clock stage delay {d:.6g} >= T/2 = {clk.period / 2.0:.6g}"))
-    return out
+    return _clock_violations(golden_clock_analyze(link, cfg, Corner.MAX).stage_spans,
+                             cfg, clk)
 
 
 def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
@@ -171,7 +218,8 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                           relaunch_slew=cs)
     hold_stages = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN, first_slew,
                          relaunch_slew=cs)
-    latencies = golden_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry).latencies
+    clock = golden_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry)
+    latencies = clock.latencies
 
     slew_violations = []
     path_violations = []
@@ -212,7 +260,8 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                 detail=f"combinational delay {d_max:.6g} > period "
                        f"{clk.period:.6g}"))
         launch, d_max, d_min = capture, 0.0, 0.0
-    violations = slew_violations + path_violations + clock_check(link, cfg, clk)
+    violations = (slew_violations + path_violations
+                  + _clock_violations(clock.stage_spans, cfg, clk))
 
     return TimingReport(
         link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),

@@ -2,16 +2,19 @@ import hashlib
 import math
 import random
 import time
+from itertools import chain
 
 import pytest
 
 from conftest import corpus, random_link
+from gnoc import hasta
 from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
                                reconstruct_lookup, slew_grid, table_lookup)
-from gnoc.errors import NotOnGrid, SegmentTooLong, SlewOutOfRange, TableMismatch
+from gnoc.errors import (GnocError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
+                         TableMismatch)
 from gnoc.golden import Corner, golden_clock_analyze, golden_path_analyze
 from gnoc.grammar import parse_link, segment_decompose
-from gnoc.hasta import (PathDirection, ViolationKind, analyze_link,
+from gnoc.hasta import (PathDirection, Violation, ViolationKind, analyze_link,
                         analyze_path, clock_check, clock_slew,
                         hold_check, render_report, setup_check)
 from gnoc.techlib import (BlockKind, ClockSpec, default_tech_config,
@@ -344,3 +347,137 @@ def test_analyze_link_linear_time(cfg, tables):
     assert 5.0 <= ratio <= 15.0, (
         f"10^4/10^3 analyze_link time ratio {ratio:.1f} outside [5, 15] "
         f"({best[0] * 1e3:.1f} ms, {best[1] * 1e3:.1f} ms)")
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the GnocError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except GnocError as exc:
+        return type(exc), str(exc)
+
+
+def _late_stages(link, cfg, clk):
+    """Clock violations straight from the MAX-corner clock walk, in token order."""
+    clock = golden_clock_analyze(link, cfg, Corner.MAX)
+    return [Violation(ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
+                      f"tokens {a}..{b}",
+                      f"clock stage delay {d:.6g} >= T/2 = {clk.period / 2.0:.6g}")
+            for (a, b), d in zip(clock.stage_spans, clock.stage_delays)
+            if d >= clk.period / 2.0]
+
+
+def test_memoized_chain_equals_lookup_chain(cfg):
+    """With a cold memo and again with a warm one, both analyses give the
+    plain lookup chain's stages bit for bit, in every mode, and the clock
+    violations of the single NOMINAL walk equal those of a MAX walk."""
+    ts = build_tables(cfg)
+    cs = clock_slew(cfg)
+    rng = random.Random(71)
+    links = [random_link(rng, rng.randint(1, 30), w_lo=0, w_hi=5, cb_prob=0.2)
+             for _ in range(60)]
+    clk = ClockSpec(period=20.0, jitter=1.0)
+    for memo in ("cold", "warm"):
+        for link in links:
+            for mode in LookupMode:
+                for launch in (None, 9.5, 4.0):
+                    start = cs if launch is None else launch
+                    for entry in (0, len(link) - 1):
+                        rep = _outcome(analyze_link, link, ts, cfg, clk, mode,
+                                       clock_entry=entry, launch_slew=launch)
+                        chains = [_outcome(lookup_chain, link, ts, start, mode,
+                                           purpose, relaunch_slew=cs)
+                                  for purpose in LookupPurpose]
+                        if isinstance(rep, tuple):
+                            assert rep in chains, (memo, mode, launch)
+                            continue
+                        assert [rep.setup_stages, rep.hold_stages] \
+                            == [stages for stages, _ in chains]
+                        late = [v for v in rep.violations if v.kind
+                                is ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD]
+                        assert late == _late_stages(link, cfg, clk)
+                    for purpose in LookupPurpose:
+                        path = _outcome(analyze_path, link, ts, start, mode, purpose)
+                        chain = _outcome(lookup_chain, link, ts, start, mode, purpose)
+                        if isinstance(path, tuple):
+                            assert path == chain
+                        else:
+                            assert (path.stages, path.arrivals) == chain
+        assert any(ts.memo[p][s][d] for p in LookupPurpose
+                   for s in range(3) for d in range(3))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("S W W B " + "W " * 10 + "S", SegmentTooLong),     # 10 wires >= K
+    ("S " + "W " * 8 + "B W W B W S", SlewOutOfRange),  # 8 wires: slew_out > 40
+])
+def test_memoized_chain_errors_every_call(cfg, text, error):
+    """Failures after the first lookup are never memoized: they raise with a
+    cold memo, and again once the memo is warm."""
+    ts = build_tables(cfg)
+    link = parse_link(text)
+    for _ in range(2):
+        with pytest.raises(error):
+            analyze_link(link, ts, cfg, RELAXED)
+        with pytest.raises(error):
+            analyze_path(link, ts, 9.5, LookupMode.PESSIMISTIC,
+                         LookupPurpose.HOLD_MIN)
+        for warm in corpus(seed=5, count=20, seg_lo=1, seg_hi=20):
+            analyze_link(warm, ts, cfg, RELAXED)
+    assert any(ts.memo[p][s][d] for p in LookupPurpose
+               for s in range(3) for d in range(3))
+
+
+def test_memo_bounded_by_tables(cfg):
+    """Memo keys are (n_wires, table slew_out cell or clock slew), at most
+    K * (9 * L * K + 1) per pair and purpose.  INTERPOLATE and EXACT add
+    none, and neither do new launch slews once the grid rows have run."""
+    ts = build_tables(cfg)
+    cs = clock_slew(cfg)
+    links = corpus(seed=13, count=200, seg_lo=1, seg_hi=40, w_lo=0, w_hi=7)
+
+    def sizes():
+        return [len(d) for p in LookupPurpose for row in ts.memo[p] for d in row]
+
+    for link in links:
+        for launch in [None] + slew_grid(cfg):
+            analyze_link(link, ts, cfg, RELAXED, launch_slew=launch)
+        for launch in slew_grid(cfg):
+            for purpose in LookupPurpose:
+                analyze_path(link, ts, launch, LookupMode.PESSIMISTIC, purpose)
+    warm = sizes()
+    bound = cfg.K * (9 * cfg.L * cfg.K + 1)
+    assert 0 < max(warm) <= bound
+    for purpose in LookupPurpose:
+        cells = {cs}.union(*(chain.from_iterable(t.slew_out[purpose.corner].cells)
+                             for t in ts.tables.values()))
+        for row in ts.memo[purpose]:
+            for d in row:
+                assert all(0 <= n < cfg.K and s in cells for n, s in d)
+
+    rng = random.Random(3)
+    for link in links[:50]:
+        for mode in (LookupMode.INTERPOLATE, LookupMode.EXACT):
+            _outcome(analyze_link, link, ts, cfg, RELAXED, mode)
+            _outcome(analyze_path, link, ts, 9.5, mode, LookupPurpose.SETUP_MAX)
+    launches = [rng.uniform(4.0, 40.0) for _ in range(100)]
+    for link, launch in zip(links, launches):
+        analyze_link(link, ts, cfg, RELAXED, launch_slew=launch)
+        analyze_path(link, ts, launch, LookupMode.PESSIMISTIC,
+                     LookupPurpose.HOLD_MIN)
+    assert sizes() == warm
+
+
+def test_analyze_link_walks_clock_once(cfg, tables, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return golden_clock_analyze(*args, **kwargs)
+
+    monkeypatch.setattr(hasta, "golden_clock_analyze", counted)
+    link = parse_link("S W W B W.cb W W R W S")
+    for entry in (0, len(link) - 1):
+        calls.clear()
+        analyze_link(link, tables, cfg, ClockSpec(period=8.0), clock_entry=entry)
+        assert calls == [Corner.NOMINAL]
