@@ -4,6 +4,13 @@ Wire delay follows a discrete uniform RC ladder (Elmore), block delay is
 linear in input slew and load, and output slew combines the driver slew with
 wire degradation in quadrature.  Deterministic and corner-derated, so it
 doubles as the reference when validating table-based analysis.
+
+The clock model works per buffer, not per token: clock_buffer_latencies
+takes the clock-buffer tokens that grammar.walk_link collects in its one
+walk over a link, evaluates each distinct stage length once and returns the
+latency at each buffer.  golden_clock_analyze expands that to every token
+and lists every stage span; link analysis reads the per-buffer result and
+builds spans only for late stages.
 """
 
 from __future__ import annotations
@@ -11,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidValue
-from .grammar import LinkSentence, segment_decompose
+from .grammar import LinkSentence, segment_decompose, walk_link
 from .techlib import ACTIVE_KINDS, BlockKind, TechConfig, block_params
 
 
@@ -114,9 +123,7 @@ class ClockResult:
 
 def clock_buffer_indices(link: LinkSentence) -> list[int]:
     """Tokens carrying a clock buffer: every active block plus every W.cb."""
-    wire = BlockKind.W
-    return [i for i, (kind, sub) in enumerate(link.tokens)
-            if kind is not wire or sub.clock_buffered]
+    return walk_link(link)[1]
 
 
 def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
@@ -126,34 +133,52 @@ def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
     return derate(cfg, corner) * (p.cb_d0 + wire)
 
 
+def clock_buffer_latencies(buffers: list[int], cfg: TechConfig, corner: Corner,
+                           entry_index: int = 0) -> tuple[dict[int, float], list[float]]:
+    """Clock latency at every buffer of a link, from its clock-buffer tokens.
+
+    buffers are clock_buffer_indices(link), in token order.  The clock enters
+    at the first token (entry_index 0) or at the last (len(link) - 1); the
+    stages are then taken in reverse order.  Returns the stage delay per
+    distinct token distance between consecutive buffers (the stage's wire
+    count plus one), each evaluated once, and the latency at each buffer in
+    token order: the running sum of the stage delays before it in
+    propagation order, zero at the entry.
+    """
+    distances = list(map(sub, buffers[1:], buffers))
+    far = entry_index == buffers[-1]
+    if far:
+        distances.reverse()
+    elif entry_index != 0:
+        raise ValueError(f"clock must enter at a link end, got token {entry_index}")
+    delay_of = {n: clock_stage_delay(n - 1, cfg, corner) for n in set(distances)}
+    latencies = list(accumulate(map(delay_of.__getitem__, distances), initial=0.0))
+    if far:
+        latencies.reverse()
+    return delay_of, latencies
+
+
 def golden_clock_analyze(link: LinkSentence, cfg: TechConfig, corner: Corner,
                          entry_index: int = 0) -> ClockResult:
     """Clock latency at every token, for a clock entering at either link end.
 
-    entry_index 0 enters at the first token, len(link) - 1 at the last; the
-    buffers are then taken in reverse order.  A token's latency is the arrival
-    at its governing buffer, the last buffer at or before it in propagation
-    order: the sum of the stage delays before that buffer (zero at the entry).
-    A stage's delay depends only on its wire count; each count is evaluated once.
+    A token's latency is the one at its governing buffer, the last buffer at
+    or before it in propagation order (see clock_buffer_latencies).  Stage
+    delays and spans run in propagation order.
     """
     buffers = clock_buffer_indices(link)
-    gaps = [b - a - 1 for a, b in zip(buffers, buffers[1:])]  # wires per stage
-    far = entry_index == len(link) - 1
-    if far:
+    delay_of, at_buffer = clock_buffer_latencies(buffers, cfg, corner, entry_index)
+    far = entry_index != 0
+    if far:  # propagation order runs against token order
         buffers.reverse()
-        gaps.reverse()
-    elif entry_index != 0:
-        raise ValueError(f"clock must enter at a link end, got token {entry_index}")
-
-    delay_of = {g: clock_stage_delay(g, cfg, corner) for g in set(gaps)}
-    stage_delays = tuple(map(delay_of.__getitem__, gaps))
+        at_buffer.reverse()
+    spans = tuple(zip(buffers, buffers[1:]))
     latencies = []  # in propagation order
-    lat = 0.0
-    for g, d in zip(gaps, stage_delays):
-        latencies += [lat] * (g + 1)  # the stage's buffer and its wires
-        lat += d
-    latencies.append(lat)
+    for (a, b), lat in zip(spans, at_buffer):
+        latencies += [lat] * abs(b - a)  # the stage's buffer and its wires
+    latencies.append(at_buffer[-1])
     if far:
         latencies.reverse()
-    return ClockResult(latencies=tuple(latencies), stage_delays=stage_delays,
-                       stage_spans=tuple(zip(buffers, buffers[1:])))
+    return ClockResult(latencies=tuple(latencies),
+                       stage_delays=tuple(delay_of[abs(b - a)] for a, b in spans),
+                       stage_spans=spans)

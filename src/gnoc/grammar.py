@@ -15,6 +15,8 @@ from .errors import GrammarError, LexError, SubtypeError
 from .techlib import CB_SUBTYPE, DEFAULT_SUBTYPE, ACTIVE_KINDS, BlockKind, SubtypeTag
 
 Token = tuple[BlockKind, SubtypeTag]
+# (src, dst, n_wires, src is R or S, src token, dst buffer); see walk_link
+Step = tuple[int, int, int, bool, int, int]
 
 
 @dataclass(frozen=True)
@@ -77,34 +79,48 @@ def parse_link(text: str) -> LinkSentence:
 
 def token_text(token: Token) -> str:
     kind, sub = token
-    return f"{kind}.cb" if sub.clock_buffered else str(kind)
+    # _value_ skips Enum.value's descriptor, which dominated serialization
+    return kind._value_ + ".cb" if sub.clock_buffered else kind._value_
 
 
 def serialize_link(link: LinkSentence) -> str:
     """Canonical single-space serialization; inverse of parse_link."""
-    return " ".join(token_text(t) for t in link.tokens)
+    return " ".join(map(token_text, link.tokens))
 
 
-def segment_steps(link: LinkSentence) -> list[tuple[int, int, int, bool, int]]:
-    """(src, dst, n_wires, src is R or S, src token) per segment, from one walk.
+def walk_link(link: LinkSentence) -> tuple[list[Step], list[int]]:
+    """Segment steps and clock-buffer tokens of a link, from one walk over it.
 
-    src and dst index ACTIVE_KINDS.  The chaining loops of the link analysis
-    read these tuples directly; segment_decompose builds Segment records.
+    A step is (src, dst, n_wires, src is R or S, src token, dst buffer) per
+    segment: src and dst index ACTIVE_KINDS, and dst buffer is the position
+    of the segment's destination token in the buffer list.  The buffers are
+    the tokens carrying a clock buffer, in token order: every active block
+    plus every W.cb.  The link analysis reads both lists directly;
+    segment_steps, segment_decompose and golden.clock_buffer_indices are
+    views of them.
     """
     wire, buffer, index = BlockKind.W, BlockKind.B, ACTIVE_KINDS.index
-    steps = []
+    steps, buffers = [], []
     src = None
-    for i, (kind, _) in enumerate(link.tokens):
+    for i, (kind, sub) in enumerate(link.tokens):
         if kind is wire:
+            if sub.clock_buffered:
+                buffers.append(i)
             continue
         dst = index(kind)
         if src is not None:
-            steps.append((src, dst, i - at - 1, sequential, at))
+            steps.append((src, dst, i - at - 1, sequential, at, len(buffers)))
+        buffers.append(i)
         src, at, sequential = dst, i, kind is not buffer
-    return steps
+    return steps, buffers
+
+
+def segment_steps(link: LinkSentence) -> list[Step]:
+    """The segment steps of walk_link."""
+    return walk_link(link)[0]
 
 
 def segment_decompose(link: LinkSentence) -> list[Segment]:
     """Split a valid link into active-to-active segments covering it exactly."""
     return [Segment(ACTIVE_KINDS[s], ACTIVE_KINDS[d], n, at, at + n + 1)
-            for s, d, n, _, at in segment_steps(link)]
+            for s, d, n, _, at, _ in segment_steps(link)]

@@ -2,7 +2,7 @@
 
 Data delays and slews come from the characterization tables (MAX corner for
 the setup pass, MIN for the hold pass); clock latencies and clock-stage delays
-come from golden_clock_analyze, the oracle's closed-form clock model.
+come from golden.clock_buffer_latencies, the oracle's closed-form clock model.
 Flop-to-flop paths between consecutive R/S blocks get setup and hold slacks
 with skew and jitter folded in, plus the four structural checks: slew
 legality, combinational delay vs. the period, and clock-stage half-period
@@ -17,27 +17,33 @@ first lookup of a chain starts from the caller's launch slew, which may be
 any value, so it bypasses the memo.  INTERPOLATE and EXACT chain continuous
 slews that rarely repeat; they look up directly.
 
-Each analyze_link call walks the clock model once, at the NOMINAL corner
-for skew; the clock-stage violations are judged from that walk's stage
-spans, with one MAX-corner stage delay per distinct wire gap.
+Each analyze_link call walks the link's tokens once (grammar.walk_link),
+collecting the segments and the clock-buffer tokens together, and runs the
+clock model once, per buffer rather than per token: NOMINAL latencies at
+the buffers give the skews.  Clock-stage violations are judged once per
+distinct wire gap at the MAX corner; the stage spans are built, in token
+order, only when some gap is late.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import attrgetter, sub
+from typing import NamedTuple
 
 # table_lookup and reconstruct_lookup stay importable from here; perfbench's
 # tracer wraps them under these names.
 from .characterize import (LookupMode, LookupPurpose, TableSet,
                            reconstruct_lookup, table_lookup, view_lookup)
 from .errors import TableMismatch
-from .golden import (Corner, PathResult, StageResult, clock_stage_delay,
-                     golden_clock_analyze)
+from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
+                     clock_buffer_latencies, clock_stage_delay)
 from .grammar import (LinkSentence, Segment, segment_decompose, segment_steps,
-                      serialize_link)
+                      serialize_link, walk_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
 
@@ -55,15 +61,13 @@ class ViolationKind(Enum):
     CLOCK_UNBUFFERED_GT_HALF_PERIOD = "CLOCK_UNBUFFERED_GT_HALF_PERIOD"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     location: str
     detail: str
 
 
-@dataclass(frozen=True)
-class PathCheck:
+class PathCheck(NamedTuple):
     launch_index: int
     capture_index: int
     path_delay_max: float
@@ -139,7 +143,7 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
     stages = []
     slew = launch_slew
     chained = False
-    for src, dst, n_wires, sequential, _ in steps:
+    for src, dst, n_wires, sequential, _, _ in steps:
         if chained and sequential and relaunch_slew is not None:
             slew, chained = relaunch_slew, False
         if memo is not None and stages:
@@ -168,38 +172,37 @@ def analyze_path(link: LinkSentence, ts: TableSet, launch_slew: float,
     """
     stages = _chain(segment_steps(link), ts, mode, purpose, launch_slew)
     return PathResult(stages=tuple(stages),
-                      arrivals=tuple(accumulate(st.delay for st in stages)))
+                      arrivals=tuple(accumulate(map(attrgetter("delay"), stages))))
 
 
-def _clock_violations(spans: tuple, cfg: TechConfig,
+def _clock_violations(buffers: list[int], distances: Iterable[int], cfg: TechConfig,
                       clk: ClockSpec) -> list[Violation]:
-    """CLOCK_UNBUFFERED violations over clock stage spans, in forward token order.
+    """CLOCK_UNBUFFERED violations of a link's clock stages, in token order.
 
-    spans are a ClockResult's stage_spans at any corner and either entry;
-    each distinct wire gap is judged by its MAX-corner stage delay.
+    buffers are the link's clock-buffer tokens in token order; distances
+    holds each distinct token distance between consecutive buffers, judged
+    once by its MAX-corner stage delay.  Spans are built only when some
+    stage is late.
     """
     half = clk.period / 2.0
     late = {}  # token distance between a stage's buffers -> its late delay
-    for step in {b - a for a, b in spans}:  # negative for far-end entry
-        n = abs(step)
+    for n in distances:
         d = clock_stage_delay(n - 1, cfg, Corner.MAX)
         if d >= half:
             late[n] = d
     if not late:
         return []
-    if spans[0][0] > spans[0][1]:  # far-end entry: spans run backwards
-        spans = [(b, a) for a, b in reversed(spans)]
     return [Violation(ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
-                      location=f"tokens {a}..{b}",
-                      detail=f"clock stage delay {late[b - a]:.6g} >= T/2 = {half:.6g}")
-            for a, b in spans if b - a in late]
+                      f"tokens {a}..{b}",
+                      f"clock stage delay {late[b - a]:.6g} >= T/2 = {half:.6g}")
+            for a, b in zip(buffers, buffers[1:]) if b - a in late]
 
 
 def clock_check(link: LinkSentence, cfg: TechConfig,
                 clk: ClockSpec) -> list[Violation]:
     """Flag every clock stage whose MAX-corner delay reaches half the period."""
-    return _clock_violations(golden_clock_analyze(link, cfg, Corner.MAX).stage_spans,
-                             cfg, clk)
+    buffers = clock_buffer_indices(link)
+    return _clock_violations(buffers, set(map(sub, buffers[1:], buffers)), cfg, clk)
 
 
 def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
@@ -210,7 +213,7 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     if ts.cfg_digest != cfg.digest():
         raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
                             f"analysis cfg is {cfg.digest()}")
-    steps = segment_steps(link)
+    steps, buffers = walk_link(link)
     cs = clock_slew(cfg)
     # the link starts with S, so without a launch slew it launches from the clock
     first_slew = cs if launch_slew is None else launch_slew
@@ -218,31 +221,32 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                           relaunch_slew=cs)
     hold_stages = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN, first_slew,
                          relaunch_slew=cs)
-    clock = golden_clock_analyze(link, cfg, Corner.NOMINAL, clock_entry)
-    latencies = clock.latencies
+    delay_of, latencies = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL,
+                                                 clock_entry)
 
+    period, jitter, slew_max = clk.period, clk.jitter, cfg.slew_legal_max
+    params = [block_params(cfg, kind) for kind in ACTIVE_KINDS]
+    t_su = [q.t_su for q in params]
+    t_h = [q.t_h for q in params]
     slew_violations = []
     path_violations = []
     paths = []
     buffer = ACTIVE_KINDS.index(BlockKind.B)
-    launch, d_max, d_min = 0, 0.0, 0.0
-    for (_, dst, n_wires, _, at), smax, smin in zip(steps, setup_stages,
-                                                     hold_stages):
-        capture = at + n_wires + 1
-        if smax.slew_out > cfg.slew_legal_max:
+    launch, launch_buffer, d_max, d_min = 0, 0, 0.0, 0.0
+    for (_, dst, n_wires, _, at, capture_buffer), smax, smin in zip(
+            steps, setup_stages, hold_stages):
+        if smax.slew_out > slew_max:
             slew_violations.append(Violation(
-                ViolationKind.SLEW_RANGE,
-                location=f"segment {at}->{capture}",
-                detail=f"slew {smax.slew_out:.6g} exceeds legal max "
-                       f"{cfg.slew_legal_max:.6g}"))
+                ViolationKind.SLEW_RANGE, f"segment {at}->{at + n_wires + 1}",
+                f"slew {smax.slew_out:.6g} exceeds legal max {slew_max:.6g}"))
         d_max += smax.delay
         d_min += smin.delay
         if dst == buffer:  # a flop-to-flop path closes at R or S
             continue
-        skew = latencies[capture] - latencies[launch]
-        q = block_params(cfg, ACTIVE_KINDS[dst])
-        s_slack = setup_check(clk.period, clk.jitter, skew, d_max, q.t_su)
-        h_slack = hold_check(d_min, skew, q.t_h)
+        capture = at + n_wires + 1
+        skew = latencies[capture_buffer] - latencies[launch_buffer]
+        s_slack = setup_check(period, jitter, skew, d_max, t_su[dst])
+        h_slack = hold_check(d_min, skew, t_h[dst])
         direction = (PathDirection.FORWARD if skew >= 0.0
                      else PathDirection.BACKWARD)
         paths.append(PathCheck(launch, capture, d_max, d_min, skew,
@@ -254,14 +258,13 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
         if h_slack < 0.0:
             path_violations.append(Violation(ViolationKind.HOLD, loc,
                                              f"hold slack {h_slack:.6g}"))
-        if d_max > clk.period:
+        if d_max > period:
             path_violations.append(Violation(
                 ViolationKind.COMB_GT_PERIOD, loc,
-                detail=f"combinational delay {d_max:.6g} > period "
-                       f"{clk.period:.6g}"))
-        launch, d_max, d_min = capture, 0.0, 0.0
+                f"combinational delay {d_max:.6g} > period {period:.6g}"))
+        launch, launch_buffer, d_max, d_min = capture, capture_buffer, 0.0, 0.0
     violations = (slew_violations + path_violations
-                  + _clock_violations(clock.stage_spans, cfg, clk))
+                  + _clock_violations(buffers, delay_of, cfg, clk))
 
     return TimingReport(
         link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import random_link
 from gnoc.errors import GrammarError, LexError, SubtypeError
-from gnoc.grammar import parse_link, segment_decompose, serialize_link
-from gnoc.techlib import BlockKind
+from gnoc.grammar import parse_link, segment_decompose, serialize_link, walk_link
+from gnoc.techlib import ACTIVE_KINDS, BlockKind
 
 
 def kinds_of(link):
@@ -102,3 +102,25 @@ def test_segment_coverage(seed, n):
         rebuilt.extend([BlockKind.W] * s.n_wires)
         rebuilt.append(s.dst_kind)
     assert tuple(rebuilt) == kinds
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       cb_prob=st.sampled_from([0.0, 0.3, 0.8]))
+@settings(max_examples=200, deadline=None)
+def test_walk_link_steps_and_buffers(seed, n, cb_prob):
+    """Zero-wire segments and runs of W.cb: the buffers are the active and
+    W.cb tokens, the steps are the segments, and each step's buffer index
+    points at its destination token."""
+    link = random_link(random.Random(seed), n, w_lo=0, w_hi=6, cb_prob=cb_prob)
+    steps, buffers = walk_link(link)
+    assert buffers == [i for i, (kind, sub) in enumerate(link.tokens)
+                       if kind is not BlockKind.W or sub.clock_buffered]
+    actives = [i for i, (kind, _) in enumerate(link.tokens) if kind is not BlockKind.W]
+    segments = segment_decompose(link)
+    assert [(s.src_index, s.dst_index) for s in segments] == list(zip(actives, actives[1:]))
+    assert len(steps) == len(segments)
+    for (src, dst, n_wires, sequential, at, dst_buffer), seg in zip(steps, segments):
+        assert (ACTIVE_KINDS[src], ACTIVE_KINDS[dst], n_wires, at, at + n_wires + 1) \
+            == seg
+        assert sequential == (seg.src_kind is not BlockKind.B)
+        assert buffers[dst_buffer] == seg.dst_index

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -12,8 +13,9 @@ from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
                                reconstruct_lookup, slew_grid, table_lookup)
 from gnoc.errors import (GnocError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
                          TableMismatch)
-from gnoc.golden import Corner, golden_clock_analyze, golden_path_analyze
-from gnoc.grammar import parse_link, segment_decompose
+from gnoc.golden import (Corner, clock_buffer_latencies, golden_clock_analyze,
+                         golden_path_analyze)
+from gnoc.grammar import parse_link, segment_decompose, walk_link
 from gnoc.hasta import (PathDirection, Violation, ViolationKind, analyze_link,
                         analyze_path, clock_check, clock_slew,
                         hold_check, render_report, setup_check)
@@ -210,6 +212,40 @@ def test_render_report_pinned(cfg, tables):
     assert size == 841_435
     assert digest.hexdigest() == (
         "e6f7d83bc59c3f3fbb3b52772a0105dd72634ae748ee4a61c4ce3ae2bdd4190f")
+
+
+def test_analysis_corpus_pinned(cfg, tables):
+    """Reports, path fields and violation fields of 300 seeded links with
+    W.cb and zero-wire segments, at both clock entries, four clocks (every
+    clock stage is late at T = 9, none at T = 170), two modes and two launch
+    slews."""
+    rng = random.Random(808)
+    links = [random_link(rng, rng.randint(1, 12), w_lo=0, w_hi=6, cb_prob=0.2)
+             for _ in range(300)]
+    clocks = (ClockSpec(period=9.0), ClockSpec(period=12.0),
+              ClockSpec(period=20.0, jitter=1.0), ClockSpec(period=170.0))
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for link in links:
+        for entry in (0, len(link) - 1):
+            for clk in clocks:
+                for mode in (LookupMode.PESSIMISTIC, LookupMode.INTERPOLATE):
+                    for launch in (None, 9.5):
+                        rep = analyze_link(link, tables, cfg, clk, mode,
+                                           clock_entry=entry, launch_slew=launch)
+                        paths = [(p.launch_index, p.capture_index, p.path_delay_max,
+                                  p.path_delay_min, p.skew, p.setup_slack,
+                                  p.hold_slack, p.direction) for p in rep.paths]
+                        violations = [(v.kind, v.location, v.detail)
+                                      for v in rep.violations]
+                        digest.update(render_report(rep).encode())
+                        digest.update(repr((paths, violations)).encode())
+                        kinds.update((v.kind, entry > 0) for v in rep.violations)
+    late = ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD
+    assert kinds[late, False] and kinds[late, True]
+    assert kinds[ViolationKind.SETUP, False] and kinds[ViolationKind.SETUP, True]
+    assert digest.hexdigest() == (
+        "d8f13890ca8a39a51d11439d4a25c421a91e20062f6019f675fb57d7892455c1")
 
 
 def lookup_chain(link, ts, launch_slew, mode, purpose, relaunch_slew=None):
@@ -469,15 +505,32 @@ def test_memo_bounded_by_tables(cfg):
 
 
 def test_analyze_link_walks_clock_once(cfg, tables, monkeypatch):
+    """One clock-model run per analysis, at NOMINAL, for either entry."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return golden_clock_analyze(*args, **kwargs)
+        return clock_buffer_latencies(*args, **kwargs)
 
-    monkeypatch.setattr(hasta, "golden_clock_analyze", counted)
+    monkeypatch.setattr(hasta, "clock_buffer_latencies", counted)
     link = parse_link("S W W B W.cb W W R W S")
     for entry in (0, len(link) - 1):
         calls.clear()
         analyze_link(link, tables, cfg, ClockSpec(period=8.0), clock_entry=entry)
         assert calls == [Corner.NOMINAL]
+
+
+def test_analyze_link_walks_tokens_once(cfg, tables, monkeypatch):
+    """One token walk per analysis, for either entry."""
+    calls = []
+
+    def counted(link):
+        calls.append(link)
+        return walk_link(link)
+
+    monkeypatch.setattr(hasta, "walk_link", counted)
+    link = parse_link("S W W B W.cb W W R W S")
+    for entry in (0, len(link) - 1):
+        calls.clear()
+        analyze_link(link, tables, cfg, ClockSpec(period=8.0), clock_entry=entry)
+        assert calls == [link]
