@@ -114,6 +114,37 @@ def hold_check(path_delay_min: float, skew: float, t_h: float,
     return path_delay_min - skew - t_h - jitter
 
 
+def slew_violation(at: int, n_wires: int, slew_out: float,
+                   slew_max: float) -> Violation:
+    """SLEW_RANGE finding of the segment from token at over n_wires wires."""
+    return Violation(ViolationKind.SLEW_RANGE, f"segment {at}->{at + n_wires + 1}",
+                     f"slew {slew_out:.6g} exceeds legal max {slew_max:.6g}")
+
+
+def path_violations(launch: int, capture: int, setup_slack: float,
+                    hold_slack: float, delay_max: float,
+                    period: float) -> list[Violation]:
+    """SETUP, HOLD and COMB_GT_PERIOD findings of one flop-to-flop path, in that order."""
+    loc = f"path {launch}->{capture}"
+    found = []
+    if setup_slack < 0.0:
+        found.append(Violation(ViolationKind.SETUP, loc, f"setup slack {setup_slack:.6g}"))
+    if hold_slack < 0.0:
+        found.append(Violation(ViolationKind.HOLD, loc, f"hold slack {hold_slack:.6g}"))
+    if delay_max > period:
+        found.append(Violation(
+            ViolationKind.COMB_GT_PERIOD, loc,
+            f"combinational delay {delay_max:.6g} > period {period:.6g}"))
+    return found
+
+
+def check_tables(ts: TableSet, cfg: TechConfig) -> None:
+    """Raise TableMismatch unless ts was built for cfg."""
+    if ts.cfg_digest != cfg.digest():
+        raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
+                            f"analysis cfg is {cfg.digest()}")
+
+
 def clock_slew(cfg: TechConfig) -> float:
     """Slew at any clock-buffer output; buffers restore the edge."""
     return block_params(cfg, BlockKind.B).cb_s0
@@ -210,9 +241,7 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                  clock_entry: int = 0,
                  launch_slew: float | None = None) -> TimingReport:
     """Full link timing: segment lookups, clock latencies, path checks, violations."""
-    if ts.cfg_digest != cfg.digest():
-        raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
-                            f"analysis cfg is {cfg.digest()}")
+    check_tables(ts, cfg)
     steps, buffers = walk_link(link)
     cs = clock_slew(cfg)
     # the link starts with S, so without a launch slew it launches from the clock
@@ -229,16 +258,14 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     t_su = [q.t_su for q in params]
     t_h = [q.t_h for q in params]
     slew_violations = []
-    path_violations = []
+    path_found = []
     paths = []
     buffer = ACTIVE_KINDS.index(BlockKind.B)
     launch, launch_buffer, d_max, d_min = 0, 0, 0.0, 0.0
     for (_, dst, n_wires, _, at, capture_buffer), smax, smin in zip(
             steps, setup_stages, hold_stages):
         if smax.slew_out > slew_max:
-            slew_violations.append(Violation(
-                ViolationKind.SLEW_RANGE, f"segment {at}->{at + n_wires + 1}",
-                f"slew {smax.slew_out:.6g} exceeds legal max {slew_max:.6g}"))
+            slew_violations.append(slew_violation(at, n_wires, smax.slew_out, slew_max))
         d_max += smax.delay
         d_min += smin.delay
         if dst == buffer:  # a flop-to-flop path closes at R or S
@@ -251,19 +278,11 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                      else PathDirection.BACKWARD)
         paths.append(PathCheck(launch, capture, d_max, d_min, skew,
                                s_slack, h_slack, direction))
-        loc = f"path {launch}->{capture}"
-        if s_slack < 0.0:
-            path_violations.append(Violation(ViolationKind.SETUP, loc,
-                                             f"setup slack {s_slack:.6g}"))
-        if h_slack < 0.0:
-            path_violations.append(Violation(ViolationKind.HOLD, loc,
-                                             f"hold slack {h_slack:.6g}"))
-        if d_max > period:
-            path_violations.append(Violation(
-                ViolationKind.COMB_GT_PERIOD, loc,
-                f"combinational delay {d_max:.6g} > period {period:.6g}"))
+        if s_slack < 0.0 or h_slack < 0.0 or d_max > period:
+            path_found += path_violations(launch, capture, s_slack, h_slack,
+                                          d_max, period)
         launch, launch_buffer, d_max, d_min = capture, capture_buffer, 0.0, 0.0
-    violations = (slew_violations + path_violations
+    violations = (slew_violations + path_found
                   + _clock_violations(buffers, delay_of, cfg, clk))
 
     return TimingReport(

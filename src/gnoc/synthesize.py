@@ -5,21 +5,50 @@ placed, and when no all-wire/buffer mix can close timing the search switches
 to registers (again evenly placed), re-buffering each registered sub-run.
 The first valid candidate under this schedule is the cheapest even-placement
 solution: register count first, then total buffer count.  Clock-buffer
-sub-types are assigned afterwards by a greedy half-period rule.
+sub-types are assigned by a greedy half-period rule before each candidate is
+judged.  Every candidate is logged with its verdict.
+
+A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
+sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
+one synthesize_link call each sub-run is analyzed once, keyed by (its source
+is S, its destination is S, its slot count, its buffer count), and every
+candidate is judged from those records.  That gives the same verdicts, bit
+for bit, as analyze_link on the whole candidate (is_valid):
+
+- the buffer positions depend only on the slot and buffer counts, and the
+  .cb promotion restarts at every active block, so a sub-run's tokens and
+  their text depend only on the key (and the call's clock-run limit);
+- every flop-to-flop path is exactly one sub-run, and in PESSIMISTIC mode it
+  launches from the clock slew, so its table stages, its delay sums (taken
+  from 0.0 in segment order) and its SLEW_RANGE findings do too;
+- what depends on the sub-run's place is recomputed per candidate with
+  analyze_link's own arithmetic: the NOMINAL clock latencies, one running
+  sum from 0.0 over the concatenated buffer gaps (the same additions in the
+  same order), hence skews and slacks, and the token offsets in the
+  violation locations.
+
+A candidate with a sub-run whose table chain raises, or with a clock stage
+that reaches T/2, goes through is_valid instead, so the error text and order
+stay the analyzer's.  The records are local to the call: nothing carries
+from one call to the next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import NamedTuple
 
-from .characterize import LookupMode, TableSet
+from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
-from .golden import Corner, clock_stage_delay
-from .grammar import LinkSentence, serialize_link
-from .hasta import analyze_link
+from .golden import Corner, clock_buffer_latencies, clock_stage_delay
+from .grammar import LinkSentence, Token, serialize_link, token_text, walk_link
+from .hasta import (Violation, _chain, _clock_violations, analyze_link,
+                    check_tables, clock_slew, hold_check, path_violations,
+                    setup_check, slew_violation)
 from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
-                      ClockSpec, TechConfig)
+                      ClockSpec, TechConfig, block_params)
 
 
 @dataclass(frozen=True)
@@ -79,10 +108,18 @@ def max_clock_run(cfg: TechConfig, period: float) -> int:
     if clock_stage_delay(0, cfg, Corner.MAX) >= half:
         raise ClockUnsatisfiable(
             f"clock stage with zero unbuffered slots already >= T/2 = {half:.6g}")
-    n = 0
-    while clock_stage_delay(n + 1, cfg, Corner.MAX) < half:
-        n += 1
-    return n
+    # the stage delay grows with n (techlib._validate), so the n that fit are
+    # 0..answer: double past the answer, then bisect, lo fitting and hi not
+    lo, hi = 0, 1
+    while clock_stage_delay(hi, cfg, Corner.MAX) < half:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clock_stage_delay(mid, cfg, Corner.MAX) < half:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,
@@ -125,36 +162,31 @@ def is_valid(link: LinkSentence, spec: LinkSpec, ts: TableSet,
     except (SegmentTooLong, SlewOutOfRange) as exc:
         return False, [f"{type(exc).__name__}: {exc}"]
     if report.violations:
-        return False, [f"{v.kind.value} at {v.location}: {v.detail}"
-                       for v in report.violations]
+        return False, [_reason(v) for v in report.violations]
     return True, []
 
 
-def _interior(M: int, reg_pos: list[int], buf_pos: set[int]) -> list[BlockKind]:
-    regs = set(reg_pos)
-    out = []
-    for slot in range(1, M + 1):
-        if slot in regs:
-            out.append(BlockKind.R)
-        elif slot in buf_pos:
-            out.append(BlockKind.B)
-        else:
-            out.append(BlockKind.W)
-    return out
+def _reason(v: Violation) -> str:
+    return f"{v.kind.value} at {v.location}: {v.detail}"
+
+
+def _sub_run_tokens(src_s: bool, dst_s: bool, m: int, b: int) -> list[Token]:
+    """R/S, m slots holding b evenly placed buffers, R/S; no .cb tags."""
+    ends = (BlockKind.R, BlockKind.S)
+    tokens = [(BlockKind.W, DEFAULT_SUBTYPE)] * (m + 2)
+    tokens[0], tokens[-1] = (ends[src_s], DEFAULT_SUBTYPE), (ends[dst_s], DEFAULT_SUBTYPE)
+    for p in insert_evenly(m, b):
+        tokens[p] = (BlockKind.B, DEFAULT_SUBTYPE)
+    return tokens
 
 
 def _assemble(M: int, reg_pos: list[int], budgets: tuple[int, ...]) -> LinkSentence:
     """Build S <interior> S with registers at reg_pos and per-sub-run buffers."""
     bounds = [0] + reg_pos + [M + 1]
-    buf_pos: set[int] = set()
+    last = len(budgets) - 1
+    tokens = [(BlockKind.S, DEFAULT_SUBTYPE)]
     for j, b in enumerate(budgets):
-        lo, hi = bounds[j], bounds[j + 1]
-        for p in insert_evenly(hi - lo - 1, b):
-            buf_pos.add(lo + p)
-    interior = _interior(M, reg_pos, buf_pos)
-    tokens = ([(BlockKind.S, DEFAULT_SUBTYPE)]
-              + [(k, DEFAULT_SUBTYPE) for k in interior]
-              + [(BlockKind.S, DEFAULT_SUBTYPE)])
+        tokens += _sub_run_tokens(j == 0, j == last, bounds[j + 1] - bounds[j] - 1, b)[1:]
     return LinkSentence(tuple(tokens))
 
 
@@ -188,46 +220,151 @@ def _min_buffers_for_gap(m: int, K: int) -> int:
     return -(-(m + 1) // K) - 1
 
 
-def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
-    """Search the (registers, buffers) schedule for the first valid candidate."""
-    M = spec.length_slots
-    iterations = 0
-    log: list[str] = []
-    last_reasons: list[str] = ["no candidate attempted"]
-    # the limit depends only on the period, so it is found once per spec;
-    # when it does not exist, every candidate is refused for that reason
-    try:
-        limit, unsatisfiable = max_clock_run(cfg, spec.period), None
-    except ClockUnsatisfiable as exc:
-        limit, unsatisfiable = 0, f"ClockUnsatisfiable: {exc}"
+class _SubRun(NamedTuple):
+    """What a candidate reads of one of its sub-runs, wherever the sub-run sits."""
 
+    tokens: tuple[Token, ...]  # after the source, .cb promoted
+    text: str                  # the tokens, serialized
+    gaps: list[float]          # NOMINAL clock stage delay per buffer gap, in token order
+    delay_max: float           # setup-pass path delay, summed from 0.0
+    delay_min: float           # hold-pass path delay, summed from 0.0
+    t_su: float                # of the destination
+    t_h: float
+    slews: list                # (source offset, n_wires, slew_out) per SLEW_RANGE finding
+
+
+def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
+                     ts: TableSet, cfg: TechConfig, clk: ClockSpec) -> _SubRun | None:
+    """The record of a sub-run, or None when candidates holding it need is_valid:
+    its table chain raises or one of its clock stages reaches T/2."""
+    run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(src_s, dst_s, m, b))),
+                                 limit)
+    steps, buffers = walk_link(run)
+    cs = clock_slew(cfg)
+    try:
+        setup = _chain(steps, ts, LookupMode.PESSIMISTIC, LookupPurpose.SETUP_MAX, cs, cs)
+        hold = _chain(steps, ts, LookupMode.PESSIMISTIC, LookupPurpose.HOLD_MIN, cs, cs)
+    except (SegmentTooLong, SlewOutOfRange):
+        return None
+    delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL)
+    if _clock_violations(buffers, delay_of, cfg, clk):
+        return None
+    slew_max = cfg.slew_legal_max
+    slews = []
+    d_max = d_min = 0.0
+    for (_, _, n_wires, _, at, _), smax, smin in zip(steps, setup, hold):
+        if smax.slew_out > slew_max:
+            slews.append((at, n_wires, smax.slew_out))
+        d_max += smax.delay
+        d_min += smin.delay
+    tokens = run.tokens[1:]
+    q = block_params(cfg, tokens[-1][0])
+    return _SubRun(tokens, " ".join(map(token_text, tokens)),
+                   [delay_of[j - i] for i, j in zip(buffers, buffers[1:])],
+                   d_max, d_min, q.t_su, q.t_h, slews)
+
+
+def _judge(runs: list[_SubRun], bounds: list[int], clk: ClockSpec,
+           slew_max: float) -> list[Violation]:
+    """analyze_link's violations of the candidate made of runs, in its order.
+
+    bounds are the candidate's R/S tokens; clock stages are all within T/2.
+    """
+    period, jitter = clk.period, clk.jitter
+    latencies = list(accumulate(chain.from_iterable(run.gaps for run in runs),
+                                initial=0.0))
+    slews = []
+    paths = []
+    launch_buffer = 0
+    for run, launch, capture in zip(runs, bounds, bounds[1:]):
+        for at, n_wires, slew_out in run.slews:
+            slews.append(slew_violation(launch + at, n_wires, slew_out, slew_max))
+        capture_buffer = launch_buffer + len(run.gaps)
+        skew = latencies[capture_buffer] - latencies[launch_buffer]
+        s_slack = setup_check(period, jitter, skew, run.delay_max, run.t_su)
+        h_slack = hold_check(run.delay_min, skew, run.t_h)
+        if s_slack < 0.0 or h_slack < 0.0 or run.delay_max > period:
+            paths += path_violations(launch, capture, s_slack, h_slack,
+                                     run.delay_max, period)
+        launch_buffer = capture_buffer
+    return slews + paths
+
+
+def _schedule(M: int, K: int):
+    """The candidates in search order: (register slots, R/S tokens, buffer
+    counts, sub-run keys), a key being (source is S, destination is S, slots,
+    buffers)."""
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
         bounds = [0] + reg_pos + [M + 1]
         sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
-        minima = [_min_buffers_for_gap(m, ts.K) for m in sub_lens]
+        minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
+        ends = [True] + [False] * r + [True]
         for budgets in _budget_vectors(sub_lens, minima):
-            candidate = _assemble(M, reg_pos, budgets)
-            iterations += 1
-            if unsatisfiable is not None:
-                last_reasons = [unsatisfiable]
-                log.append(f"{serialize_link(candidate)} -> {unsatisfiable}")
-                continue
-            candidate = _promote_clock_buffers(candidate, limit)
-            ok, reasons = is_valid(candidate, spec, ts, cfg)
-            if ok:
-                kinds = candidate.kinds()[1:-1]
-                counts = (sum(k is BlockKind.W for k in kinds),
-                          sum(k is BlockKind.B for k in kinds),
-                          sum(k is BlockKind.R for k in kinds))
-                log.append(f"{serialize_link(candidate)} -> valid")
-                return SynthesisResult(link=candidate,
-                                       cost=link_cost(candidate, cfg),
-                                       counts=counts, iterations=iterations,
-                                       valid=True, log=tuple(log))
-            last_reasons = reasons
-            log.append(f"{serialize_link(candidate)} -> {'; '.join(reasons)}")
+            yield reg_pos, bounds, budgets, list(zip(ends, ends[1:], sub_lens, budgets))
+
+
+def _refuse_all(M: int, K: int, reason: str) -> SynthesisResult:
+    """The search when every candidate fails for one reason: each is logged unpromoted."""
+    texts: dict = {}
+    log = []
+    for _, _, _, keys in _schedule(M, K):
+        parts = ["S"]
+        for key in keys:
+            if key not in texts:
+                texts[key] = " ".join(map(token_text, _sub_run_tokens(*key)[1:]))
+            parts.append(texts[key])
+        log.append(f"{' '.join(parts)} -> {reason}")
+    return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
+                           iterations=len(log), valid=False, reasons=(reason,),
+                           log=tuple(log))
+
+
+def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
+    """Search the (registers, buffers) schedule for the first valid candidate."""
+    M = spec.length_slots
+    # the limit depends only on the period, so it is found once per spec;
+    # when it does not exist, every candidate is refused for that reason
+    try:
+        limit = max_clock_run(cfg, spec.period)
+    except ClockUnsatisfiable as exc:
+        return _refuse_all(M, ts.K, f"ClockUnsatisfiable: {exc}")
+    check_tables(ts, cfg)
+    clk = spec.clock
+    slew_max = cfg.slew_legal_max
+    records: dict = {}  # sub-run key -> _SubRun, or None for is_valid
+    iterations = 0
+    log: list[str] = []
+    reasons: list[str] = ["no candidate attempted"]
+    for reg_pos, bounds, budgets, keys in _schedule(M, ts.K):
+        iterations += 1
+        runs = []
+        for key in keys:
+            if key not in records:
+                records[key] = _analyze_sub_run(*key, limit, ts, cfg, clk)
+            runs.append(records[key])
+        if None in runs:
+            link = _promote_clock_buffers(_assemble(M, reg_pos, budgets), limit)
+            text = serialize_link(link)
+            ok, reasons = is_valid(link, spec, ts, cfg)
+        else:
+            link = None
+            text = "S " + " ".join([run.text for run in runs])
+            reasons = [_reason(v) for v in _judge(runs, bounds, clk, slew_max)]
+            ok = not reasons
+        if ok:
+            log.append(f"{text} -> valid")
+            if link is None:
+                link = LinkSentence(((BlockKind.S, DEFAULT_SUBTYPE),
+                                     *chain.from_iterable(run.tokens for run in runs)))
+            kinds = link.kinds()[1:-1]
+            counts = (kinds.count(BlockKind.W), kinds.count(BlockKind.B),
+                      kinds.count(BlockKind.R))
+            return SynthesisResult(link=link, cost=link_cost(link, cfg),
+                                   counts=counts, iterations=iterations,
+                                   valid=True, log=tuple(log))
+        log.append(f"{text} -> {'; '.join(reasons)}")
 
     return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
                            iterations=iterations, valid=False,
-                           reasons=tuple(last_reasons), log=tuple(log))
+                           reasons=tuple(reasons), log=tuple(log))

@@ -9,6 +9,7 @@ shipped defaults.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -115,6 +116,8 @@ class ClockSpec:
         if not self.period > self.jitter >= 0.0:
             raise InvalidValue(f"clock requires period > jitter >= 0, "
                                f"got T={self.period} jitter={self.jitter}")
+        if not math.isfinite(self.period):
+            raise InvalidValue(f"clock period must be finite, got T={self.period}")
 
 
 # Keys accepted at global scope (before any section) with their defaults;
@@ -246,6 +249,15 @@ def _validate(cfg: TechConfig):
                 raise InvalidValue(f"[kind {kind}] {fname} must be nonnegative, got {fval}")
         if kind in ACTIVE_KINDS and not (p.r_drv > 0.0 and p.c_in > 0.0):
             raise InvalidValue(f"[kind {kind}] active kinds need r_drv > 0 and c_in > 0")
+    # the clock-stage Elmore delay grows by this much per wire slot (and more
+    # beyond the first); without growth no stage length reaches T/2
+    cb = cfg.params[BlockKind.B]
+    if not cb.cb_r_drv * cfg.pitch_c + cfg.pitch_r * (cfg.pitch_c + cb.cb_c_in) > 0.0:
+        raise InvalidValue(
+            f"clock stage delay must grow with the wire count: need "
+            f"cb_r_drv * pitch_c + pitch_r * (pitch_c + cb_c_in) > 0, got "
+            f"pitch_r={cfg.pitch_r} pitch_c={cfg.pitch_c} "
+            f"cb_r_drv={cb.cb_r_drv} cb_c_in={cb.cb_c_in}")
     for kind in BlockKind:
         if cfg.area_cost.get(kind, -1.0) < 0.0:
             raise InvalidValue(f"area_cost for kind {kind} must be nonnegative")

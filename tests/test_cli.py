@@ -164,6 +164,24 @@ def test_synthesize_unsatisfiable(ws, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["synthesize", "dse"])
+def test_infinite_period_is_usage_error(ws, tmp_path, command):
+    """An infinite period is refused up front; synthesis under it never ended."""
+    if command == "synthesize":
+        rest = ["--length", "5", "--period", "inf", "--out", str(tmp_path / "x.gnoc")]
+    else:
+        cands = tmp_path / "cands.txt"
+        cands.write_text("candidate a\nlink l 5 inf\nend\n")
+        rest = ["--candidates", str(cands)]
+    proc = subprocess.run([sys.executable, "-m", "gnoc.cli", command, *args(ws, *rest)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: clock period must be finite, got T=inf" in proc.stderr
+    assert not (tmp_path / "x.gnoc").exists()
+
+
 def test_dse_candidates_file(ws, capsys):
     cands = ws / "cands.txt"
     cands.write_text(

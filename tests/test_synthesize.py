@@ -1,10 +1,20 @@
+import hashlib
+import math
+from collections import Counter
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnoc import synthesize
+from gnoc.characterize import LookupPurpose
 from gnoc.errors import ClockUnsatisfiable, GnocError
+from gnoc.golden import Corner, clock_stage_delay
 from gnoc.grammar import parse_link, serialize_link
-from gnoc.synthesize import (LinkSpec, _min_buffers_for_gap,
+from gnoc.hasta import analyze_link
+from gnoc.synthesize import (LinkSpec, SynthesisResult, _assemble,
+                             _budget_vectors, _min_buffers_for_gap,
                              assign_clock_subtypes, insert_evenly, is_valid,
                              link_cost, max_clock_run, synthesize_link)
 from gnoc.techlib import BlockKind
@@ -68,6 +78,8 @@ def test_spec_validation():
         LinkSpec(length_slots=0, period=10.0)
     with pytest.raises(GnocError):
         LinkSpec(length_slots=3, period=10.0, jitter=10.0)
+    with pytest.raises(GnocError):
+        LinkSpec(length_slots=3, period=math.inf)
 
 
 def test_max_clock_run_monotone_in_period(cfg):
@@ -159,3 +171,166 @@ def test_result_is_valid_post_hoc(cfg, tables):
         ok, reasons = is_valid(res.link, spec, tables, cfg)
         assert ok, reasons
         assert len(res.link) == slots + 2
+
+
+def test_synthesis_pinned(cfg, tables):
+    """Every SynthesisResult field, log included, over 194 specs: lengths
+    1..12 at eight periods (unsatisfiable at 9 and 9.5) with and without
+    jitter, plus 30 slots at T = 90 and 34 at T = 50 (four registers)."""
+    specs = [LinkSpec(length_slots=M, period=T, jitter=jitter)
+             for M in range(1, 13)
+             for T in (9.0, 9.5, 12.0, 20.0, 30.0, 45.0, 60.0, 90.0)
+             for jitter in (0.0, 1.0)]
+    specs += [LinkSpec(length_slots=30, period=90.0),
+              LinkSpec(length_slots=34, period=50.0)]
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for spec in specs:
+        res = synthesize_link(spec, tables, cfg)
+        digest.update(repr(res).encode())
+        for line in res.log:
+            for reason in line.split(" -> ", 1)[1].split("; "):
+                kinds[reason.split(" ", 1)[0].rstrip(":")] += 1
+        kinds["registers >= 3"] += res.valid and res.counts[2] >= 3
+    assert set(kinds) == {"valid", "COMB_GT_PERIOD", "SETUP", "HOLD", "SLEW_RANGE",
+                          "SlewOutOfRange", "ClockUnsatisfiable", "registers >= 3"}
+    assert all(kinds.values())
+    assert digest.hexdigest() == (
+        "9febd6eb786a32c6eace69de150adbc80a1971a993153c44b68b5ee2d6d39be6")
+
+
+def schedule(M, K):
+    """(register slots, buffer counts) of every candidate, in search order."""
+    for r in range(M + 1):
+        reg_pos = insert_evenly(M, r)
+        bounds = [0] + reg_pos + [M + 1]
+        sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
+        for budgets in _budget_vectors(sub_lens, minima):
+            yield reg_pos, sub_lens, budgets
+
+
+def reference_synthesize(spec, ts, cfg):
+    """The search with one full analysis per candidate: _assemble, then
+    assign_clock_subtypes, then is_valid."""
+    M = spec.length_slots
+    iterations, log, reasons = 0, [], ["no candidate attempted"]
+    for reg_pos, _, budgets in schedule(M, ts.K):
+        link = _assemble(M, reg_pos, budgets)
+        iterations += 1
+        try:
+            link = assign_clock_subtypes(link, spec, cfg)
+        except ClockUnsatisfiable as exc:
+            reasons = [f"ClockUnsatisfiable: {exc}"]
+            log.append(f"{serialize_link(link)} -> {reasons[0]}")
+            continue
+        ok, reasons = is_valid(link, spec, ts, cfg)
+        if ok:
+            log.append(f"{serialize_link(link)} -> valid")
+            kinds = link.kinds()[1:-1]
+            counts = tuple(sum(k is kind for k in kinds)
+                           for kind in (BlockKind.W, BlockKind.B, BlockKind.R))
+            return SynthesisResult(link=link, cost=link_cost(link, cfg),
+                                   counts=counts, iterations=iterations,
+                                   valid=True, log=tuple(log))
+        log.append(f"{serialize_link(link)} -> {'; '.join(reasons)}")
+    return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
+                           iterations=iterations, valid=False,
+                           reasons=tuple(reasons), log=tuple(log))
+
+
+@st.composite
+def specs(draw):
+    M = draw(st.integers(1, 24))
+    # tight clocks multiply the candidates (63,919 at 24 slots and T <= 20),
+    # so longer links draw looser ones
+    lo = 9.0 if M <= 12 else 30.0 if M <= 20 else 45.0
+    T = draw(st.one_of(st.sampled_from([9.0, 9.5, 9.51, 12.0, 20.0, 45.0]),
+                       st.floats(9.0, 300.0)).filter(lambda T: T >= lo))
+    jitter = draw(st.sampled_from([0.0, 0.5, 1.0, 4.0]))
+    return LinkSpec(length_slots=M, period=T, jitter=jitter)
+
+
+@given(spec=specs())
+@settings(max_examples=40, deadline=None)
+def test_synthesize_matches_reference_search(cfg, tables, spec):
+    got = synthesize_link(spec, tables, cfg)
+    want = reference_synthesize(spec, tables, cfg)
+    for field in ("link", "cost", "counts", "iterations", "valid", "reasons", "log"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def linear_max_clock_run(cfg, period):
+    half = period / 2.0
+    if clock_stage_delay(0, cfg, Corner.MAX) >= half:
+        return None
+    n = 0
+    while clock_stage_delay(n + 1, cfg, Corner.MAX) < half:
+        n += 1
+    return n
+
+
+def test_max_clock_run_equals_linear_scan(cfg):
+    """Periods across 9.5..400, and each T = 2 * clock_stage_delay(n) exactly
+    and one ulp either side, where the stage of n slots just stops fitting."""
+    periods = [9.5 + (400.0 - 9.5) * i / 997 for i in range(998)]
+    for n in range(30):
+        edge = 2.0 * clock_stage_delay(n, cfg, Corner.MAX)
+        periods += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    assert 2.0 * clock_stage_delay(29, cfg, Corner.MAX) > 400.0
+    for T in periods:
+        want = linear_max_clock_run(cfg, T)
+        if want is None:
+            with pytest.raises(ClockUnsatisfiable):
+                max_clock_run(cfg, T)
+        else:
+            assert max_clock_run(cfg, T) == want, T
+
+
+def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
+    """One setup-chain evaluation per distinct sub-run (source, destination,
+    slots, buffers) of the candidates tried; a second identical call repeats
+    them all, so nothing is kept between calls."""
+    calls = Counter()
+    chain = synthesize._chain
+
+    def counting_chain(steps, ts, mode, purpose, *args):
+        calls[purpose] += 1
+        return chain(steps, ts, mode, purpose, *args)
+
+    monkeypatch.setattr(synthesize, "_chain", counting_chain)
+    spec = LinkSpec(length_slots=30, period=60.0)
+    first = synthesize_link(spec, tables, cfg)
+    keys = set()
+    for _, sub_lens, budgets in islice(schedule(30, tables.K), first.iterations):
+        last = len(sub_lens) - 1
+        keys.update((j == 0, j == last, m, b)
+                    for j, (m, b) in enumerate(zip(sub_lens, budgets)))
+    assert first.valid and first.counts[2] >= 2 and first.iterations > len(keys)
+    assert calls[LookupPurpose.SETUP_MAX] == len(keys)
+    calls.clear()
+    assert synthesize_link(spec, tables, cfg) == first
+    assert calls[LookupPurpose.SETUP_MAX] == len(keys)
+
+
+def test_judged_slacks_equal_analyze_link(cfg, tables, monkeypatch):
+    """The winner's skews and slacks, as judged from sub-run records, equal
+    analyze_link's on the whole link to the last bit."""
+    judged = {"setup": [], "hold": []}  # (skew, slack) per call
+
+    def spy(name, check, skew_at):
+        def wrapped(*args):
+            slack = check(*args)
+            judged[name].append((args[skew_at], slack))
+            return slack
+        return wrapped
+
+    monkeypatch.setattr(synthesize, "setup_check",
+                        spy("setup", synthesize.setup_check, 2))
+    monkeypatch.setattr(synthesize, "hold_check", spy("hold", synthesize.hold_check, 1))
+    spec = LinkSpec(length_slots=40, period=80.0, jitter=0.5)
+    res = synthesize_link(spec, tables, cfg)
+    assert res.valid and res.counts[2] >= 2
+    paths = analyze_link(res.link, tables, cfg, spec.clock).paths
+    assert judged["setup"][-len(paths):] == [(p.skew, p.setup_slack) for p in paths]
+    assert judged["hold"][-len(paths):] == [(p.skew, p.hold_slack) for p in paths]

@@ -1,8 +1,11 @@
 import hashlib
+import math
+import re
 
 import pytest
 
 from gnoc.errors import InvalidValue, MissingKey, ParseError
+from gnoc.synthesize import max_clock_run
 from gnoc.techlib import (BlockKind, ClockSpec, block_params, load_tech_config,
                           serialize_tech_config, with_slew_grid)
 
@@ -140,3 +143,20 @@ def test_clock_spec_invariants():
         ClockSpec(period=5.0, jitter=5.0)
     with pytest.raises(InvalidValue):
         ClockSpec(period=5.0, jitter=-1.0)
+    for jitter in (0.0, 1.0):
+        with pytest.raises(InvalidValue, match="must be finite"):
+            ClockSpec(period=math.inf, jitter=jitter)
+
+
+@pytest.mark.parametrize("zeros", [("pitch_r", "cb_r_drv"), ("pitch_c", "cb_c_in")])
+def test_flat_clock_stage_rejected(zeros):
+    """With these pairs at zero the clock-stage delay is the same for every
+    wire count, and max_clock_run would never stop."""
+    text = MINIMAL.replace("pitch_r = 1.0", "pitch_r = 1.0\ncb_r_drv = 0.4\ncb_c_in = 0.8")
+    for name in zeros:
+        text = re.sub(rf"^{name} = .*$", f"{name} = 0.0", text, flags=re.M)
+    with pytest.raises(InvalidValue, match="pitch_r=.*pitch_c=.*cb_r_drv=.*cb_c_in="):
+        load_tech_config(text)
+    # one nonzero parameter of the pair is enough for growth
+    restored = re.sub(rf"^{zeros[1]} = .*$", f"{zeros[1]} = 0.1", text, flags=re.M)
+    assert max_clock_run(load_tech_config(restored), 100.0) > 0
