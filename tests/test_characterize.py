@@ -277,6 +277,28 @@ def test_reconstruct_lookup_is_golden_exact(cfg, tables):
             assert res.slew_out == pytest.approx(ref.slew_out, rel=1e-12)
 
 
+def test_off_grid_lookups_pinned(cfg, tables):
+    """reconstruct_lookup and INTERPOLATE table_lookup for every pair, column
+    and purpose at every 1/16 slew step across the grid, and just outside
+    and inside the grid-row tolerance around each row.  The digest was
+    recorded before the lookup core read per-interval constants."""
+    rows = slew_grid(cfg)
+    slews = [rows[0] + k / 16 for k in range(int((rows[-1] - rows[0]) * 16) + 1)]
+    for r in rows:
+        slews += [math.nextafter(r, -math.inf), math.nextafter(r, math.inf),
+                  r - 5e-8, r + 5e-8]
+    slews = [s for s in slews if rows[0] <= s <= rows[-1]]
+    digest = hashlib.sha256()
+    for (src, dst), n, purpose in product(product(ACTIVE, ACTIVE), range(cfg.K),
+                                          LookupPurpose):
+        for s in slews:
+            digest.update(repr((reconstruct_lookup(tables, src, dst, n, s, purpose),
+                                table_lookup(tables, src, dst, n, s,
+                                             LookupMode.INTERPOLATE, purpose))).encode())
+    assert digest.hexdigest() == (
+        "d4b1d15d5a8d0308dd4f273058e9317595674e1ab8db99c8177cab54e7fbcdf8")
+
+
 def test_finer_grid_shrinks_slew_interp_error(cfg):
     cfg20 = with_slew_grid(cfg, 20)
     ts10 = build_tables(cfg)

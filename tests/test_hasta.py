@@ -248,6 +248,37 @@ def test_analysis_corpus_pinned(cfg, tables):
         "d8f13890ca8a39a51d11439d4a25c421a91e20062f6019f675fb57d7892455c1")
 
 
+def test_analyze_path_pinned(cfg, tables):
+    """Stages and arrivals of analyze_path over 150 seeded links and two that
+    raise, in every mode and purpose, launched on a grid row, between rows
+    and below the grid; a raised error is hashed by type and message.  The
+    digest was recorded before the lookup core read per-interval constants."""
+    rng = random.Random(1010)
+    grid = slew_grid(cfg)
+    links = [random_link(rng, rng.randint(1, 40), w_lo=0, w_hi=5) for _ in range(150)]
+    links += [parse_link("S " + "W " * 8 + "B W W B W S"),  # slew_out > 40
+              parse_link("S W W B " + "W " * 10 + "S")]       # 10 wires >= K
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for k, link in enumerate(links):
+        launches = (grid[k % len(grid)], rng.uniform(grid[0], grid[-1]), 2.0)
+        for mode in LookupMode:
+            for purpose in LookupPurpose:
+                for launch in launches:
+                    res = _outcome(analyze_path, link, tables, launch, mode, purpose)
+                    if isinstance(res, tuple):
+                        outcomes[res[0].__name__] += 1
+                        res = (res[0].__name__, res[1])
+                    else:
+                        outcomes[mode] += 1
+                        res = (res.stages, res.arrivals)
+                    digest.update(repr(res).encode())
+    assert all(outcomes[mode] for mode in LookupMode)
+    assert all(outcomes[e] for e in ("NotOnGrid", "SlewOutOfRange", "SegmentTooLong"))
+    assert digest.hexdigest() == (
+        "3ee4e0b4a785e7153825d12d6a573c9feba5b1dceb4d42ff314be70d73d27c09")
+
+
 def lookup_chain(link, ts, launch_slew, mode, purpose, relaunch_slew=None):
     """Plain per-segment table_lookup / reconstruct_lookup chain over segment_decompose."""
     stages, arrivals, total, slew = [], [], 0.0, launch_slew
