@@ -5,6 +5,13 @@ input-slew rows and K load columns (0..K-1 intervening wire blocks), each cell
 holding delay and output slew at the MIN and MAX corners.  Building the set
 evaluates the golden oracle once per (pair, row, col) and corner; afterwards
 any segment costs a single lookup.
+
+Each table also keeps, per interval between two adjacent slew rows, the
+constants that a lookup between those rows needs: the interval's width for
+the linear blend and, when L >= 3, the three rows of the quadratic
+reconstruction with their six pairwise differences.  They depend on the
+rows only, so one list serves both corners; the cells themselves are held
+once, in the Grids.  Off the grid, EXACT chaining therefore needs L >= 3.
 """
 
 from __future__ import annotations
@@ -73,9 +80,28 @@ class SegmentTable:
         # near bounds the grid-row tolerance (1e-9 relative) over every
         # in-range slew, so view_lookup rules most off-grid slews out in one
         # comparison
-        near = 1e-9 * max(abs(self.rows[0]), abs(self.rows[-1]), 1.0)
-        self._views = {c: (self.rows, self.delay[c].cells, self.slew_out[c].cells, near)
+        rows = self.rows
+        near = 1e-9 * max(abs(rows[0]), abs(rows[-1]), 1.0)
+        intervals = [_interval(rows, lo) for lo in range(len(rows) - 1)]
+        self._views = {c: (rows, self.delay[c].cells, self.slew_out[c].cells, near,
+                           intervals)
                        for c in self.delay}
+
+
+def _interval(rows: list, lo: int) -> tuple:
+    """Lookup constants of the interval rows[lo]..rows[lo + 1].
+
+    (i0, x0, x1, x2, x0 - x1, x0 - x2, x1 - x0, x1 - x2, x2 - x0, x2 - x1,
+    width): the three rows x0..x2 from row i0 that reconstruct the squared
+    output slew, their Lagrange denominators and the interval's width.  With
+    fewer than three rows there is no reconstruction: (width,).
+    """
+    width = rows[lo + 1] - rows[lo]
+    if len(rows) < 3:
+        return (width,)
+    i0 = min(max(lo - 1, 0), len(rows) - 3)
+    x0, x1, x2 = rows[i0:i0 + 3]
+    return (i0, x0, x1, x2, x0 - x1, x0 - x2, x1 - x0, x1 - x2, x2 - x0, x2 - x1, width)
 
 
 @dataclass(frozen=True)
@@ -289,8 +315,9 @@ def _allclose(xs, ys, rtol: float) -> bool:
 
 
 def table_view(ts: TableSet, src: BlockKind, dst: BlockKind,
-               purpose: LookupPurpose) -> tuple[list, list, list, float]:
-    """One table at the purpose's corner: (slew rows, delay rows, slew-out rows, near)."""
+               purpose: LookupPurpose) -> tuple[list, list, list, float, list]:
+    """One table at the purpose's corner: (slew rows, delay rows, slew-out
+    rows, near, per-interval constants), the lists shared with the table."""
     return ts.tables[(src, dst)]._views[purpose.corner]
 
 
@@ -302,10 +329,12 @@ def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
     view is a table_view.  The column is checked, a slew below the grid
     clamps up to the first row (flagged) and one above it is refused.  A grid
     row (within 1e-9 relative) is read directly.  Between two rows,
-    reconstruct selects reconstruct_lookup's quantization-free values;
-    otherwise the mode resolves the slew as table_lookup describes.
+    reconstruct selects reconstruct_lookup's quantization-free values, which
+    need L >= 3 (NotOnGrid otherwise); otherwise the mode resolves the slew
+    as table_lookup describes.  Both blends read the interval's constants
+    from the view instead of differencing the rows.
     """
-    rows, delay, slew, near = view
+    rows, delay, slew, near, intervals = view
     n_cols = len(delay[0])
     if n_wires >= n_cols:
         raise SegmentTooLong(f"{n_wires} intervening wires exceeds table range "
@@ -331,7 +360,6 @@ def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
         if gap <= near and gap <= 1e-9 * max(abs(rows[lo]), abs(slew_in), 1.0):
             return StageResult(delay[lo][n_wires], slew[lo][n_wires], clamped)
 
-    d_lo, d_hi = delay[lo][n_wires], delay[hi][n_wires]
     if not reconstruct:
         if mode is LookupMode.EXACT:
             raise NotOnGrid(f"slew {slew_in} is not a grid row (EXACT mode)")
@@ -340,29 +368,23 @@ def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
             pick = hi if purpose is LookupPurpose.SETUP_MAX else lo
             return StageResult(delay[pick][n_wires], slew[pick][n_wires], clamped)
 
-    frac = (slew_in - rows[lo]) / (rows[hi] - rows[lo])
-    d = (1.0 - frac) * d_lo + frac * d_hi
-    if reconstruct:
-        s = _reconstruct_slew(rows, slew, n_wires, slew_in, lo)
-    else:
-        s = (1.0 - frac) * slew[lo][n_wires] + frac * slew[hi][n_wires]
-    return StageResult(d, s, clamped)
-
-
-def _reconstruct_slew(rows: list, slew: list, n_wires: int, slew_in: float,
-                      lo: int) -> float:
-    """Output slew between grid rows: three adjacent rows pin the quadratic in slew^2."""
-    i0 = min(max(lo - 1, 0), len(rows) - 3)
-    xs = rows[i0:i0 + 3]
-    ys = [slew[i0 + j][n_wires] ** 2 for j in range(3)]
-    s2 = 0.0
-    for j in range(3):
-        term = ys[j]
-        for m in range(3):
-            if m != j:
-                term *= (slew_in - xs[m]) / (xs[j] - xs[m])
-        s2 += term
-    return math.sqrt(max(s2, 0.0))
+    consts = intervals[lo]
+    frac = (slew_in - rows[lo]) / consts[-1]
+    d = (1.0 - frac) * delay[lo][n_wires] + frac * delay[hi][n_wires]
+    if not reconstruct:
+        return StageResult(d, (1.0 - frac) * slew[lo][n_wires] + frac * slew[hi][n_wires],
+                           clamped)
+    if len(consts) == 1:
+        raise NotOnGrid(f"slew {slew_in} is not a grid row, and reconstruction between "
+                        f"rows needs L >= 3 slew rows; the table has L = {len(rows)}")
+    # the squared output slew is quadratic in slew_in: Lagrange through three rows,
+    # the terms summed from 0.0 in row order
+    i0, x0, x1, x2, d01, d02, d10, d12, d20, d21, _ = consts
+    s2 = (0.0
+          + slew[i0][n_wires] ** 2 * ((slew_in - x1) / d01) * ((slew_in - x2) / d02)
+          + slew[i0 + 1][n_wires] ** 2 * ((slew_in - x0) / d10) * ((slew_in - x2) / d12)
+          + slew[i0 + 2][n_wires] ** 2 * ((slew_in - x0) / d20) * ((slew_in - x1) / d21))
+    return StageResult(d, math.sqrt(max(s2, 0.0)), clamped)
 
 
 def table_lookup(ts: TableSet, src: BlockKind, dst: BlockKind, n_wires: int,

@@ -84,7 +84,8 @@ def cmd_validate(args) -> int:
     ts = _load_tables(args.tables, cfg)
     link = _read_link(args.link)
     mode = LookupMode(args.mode)
-    slew = args.launch_slew if args.launch_slew is not None else 4.0
+    # by default both sides launch from the grid's first row, which the tables hold
+    slew = args.launch_slew if args.launch_slew is not None else cfg.slew_grid_min
 
     # both passes run before anything is printed, so an error leaves stdout empty
     rows = ["pass,index,table_arrival,golden_arrival,rel_err"]

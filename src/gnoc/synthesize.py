@@ -27,10 +27,14 @@ for bit, as analyze_link on the whole candidate (is_valid):
   same order), hence skews and slacks, and the token offsets in the
   violation locations.
 
-A candidate with a sub-run whose table chain raises, or with a clock stage
-that reaches T/2, goes through is_valid instead, so the error text and order
-stay the analyzer's.  The records are local to the call: nothing carries
-from one call to the next.
+A sub-run's setup and hold chains each start from the clock slew, so a
+record also keeps the error text of each chain that raises.  analyze_link
+chains the whole setup pass before the hold pass, so a candidate's reason
+is the first setup-pass error in sub-run order, else the first hold-pass
+one.  Only a candidate with a clock stage that reaches T/2 goes through
+is_valid instead, so that violation's text and order stay the analyzer's.
+The records are local to the call: nothing carries from one call to the
+next.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_buffer_latencies, clock_stage_delay
-from .grammar import LinkSentence, Token, serialize_link, token_text, walk_link
+from .grammar import LinkSentence, Token, token_text, walk_link
 from .hasta import (Violation, _chain, _clock_violations, analyze_link,
                     check_tables, clock_slew, hold_check, path_violations,
                     setup_check, slew_violation)
@@ -160,7 +165,7 @@ def is_valid(link: LinkSentence, spec: LinkSpec, ts: TableSet,
         report = analyze_link(link, ts, cfg, spec.clock,
                               mode=LookupMode.PESSIMISTIC)
     except (SegmentTooLong, SlewOutOfRange) as exc:
-        return False, [f"{type(exc).__name__}: {exc}"]
+        return False, [_error_reason(exc)]
     if report.violations:
         return False, [_reason(v) for v in report.violations]
     return True, []
@@ -168,6 +173,10 @@ def is_valid(link: LinkSentence, spec: LinkSpec, ts: TableSet,
 
 def _reason(v: Violation) -> str:
     return f"{v.kind.value} at {v.location}: {v.detail}"
+
+
+def _error_reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _sub_run_tokens(src_s: bool, dst_s: bool, m: int, b: int) -> list[Token]:
@@ -226,6 +235,9 @@ class _SubRun(NamedTuple):
     tokens: tuple[Token, ...]  # after the source, .cb promoted
     text: str                  # the tokens, serialized
     gaps: list[float]          # NOMINAL clock stage delay per buffer gap, in token order
+    judged: bool               # no chain raised and no clock stage reaches T/2
+    setup_error: str | None    # the setup chain's error reason, None when it ran
+    hold_error: str | None     # the hold chain's
     delay_max: float           # setup-pass path delay, summed from 0.0
     delay_min: float           # hold-pass path delay, summed from 0.0
     t_su: float                # of the destination
@@ -233,22 +245,29 @@ class _SubRun(NamedTuple):
     slews: list                # (source offset, n_wires, slew_out) per SLEW_RANGE finding
 
 
+def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
+                      cs: float) -> tuple[list, str | None]:
+    """A sub-run's PESSIMISTIC stages from the clock slew, or no stages and the
+    chain's error reason."""
+    try:
+        return _chain(steps, ts, LookupMode.PESSIMISTIC, purpose, cs, cs), None
+    except (SegmentTooLong, SlewOutOfRange) as exc:
+        return [], _error_reason(exc)
+
+
 def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
-                     ts: TableSet, cfg: TechConfig, clk: ClockSpec) -> _SubRun | None:
-    """The record of a sub-run, or None when candidates holding it need is_valid:
-    its table chain raises or one of its clock stages reaches T/2."""
+                     ts: TableSet, cfg: TechConfig, clk: ClockSpec) -> _SubRun:
+    """The record of a sub-run.  When a chain raised, its delays and slew
+    findings are empty: a candidate holding the sub-run is refused for the error."""
     run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(src_s, dst_s, m, b))),
                                  limit)
     steps, buffers = walk_link(run)
     cs = clock_slew(cfg)
-    try:
-        setup = _chain(steps, ts, LookupMode.PESSIMISTIC, LookupPurpose.SETUP_MAX, cs, cs)
-        hold = _chain(steps, ts, LookupMode.PESSIMISTIC, LookupPurpose.HOLD_MIN, cs, cs)
-    except (SegmentTooLong, SlewOutOfRange):
-        return None
+    setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
+    hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
     delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL)
-    if _clock_violations(buffers, delay_of, cfg, clk):
-        return None
+    judged = (setup_error is None and hold_error is None
+              and not _clock_violations(buffers, delay_of, cfg, clk))
     slew_max = cfg.slew_legal_max
     slews = []
     d_max = d_min = 0.0
@@ -261,7 +280,22 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     q = block_params(cfg, tokens[-1][0])
     return _SubRun(tokens, " ".join(map(token_text, tokens)),
                    [delay_of[j - i] for i, j in zip(buffers, buffers[1:])],
-                   d_max, d_min, q.t_su, q.t_h, slews)
+                   judged, setup_error, hold_error, d_max, d_min, q.t_su, q.t_h, slews)
+
+
+_judged = attrgetter("judged")
+
+
+def _chain_error(runs: list[_SubRun]) -> str | None:
+    """analyze_link's chain error for the candidate made of runs: the whole
+    setup pass runs before the hold pass, each relaunching at every R/S."""
+    for run in runs:
+        if run.setup_error is not None:
+            return run.setup_error
+    for run in runs:
+        if run.hold_error is not None:
+            return run.hold_error
+    return None
 
 
 def _judge(runs: list[_SubRun], bounds: list[int], clk: ClockSpec,
@@ -290,10 +324,15 @@ def _judge(runs: list[_SubRun], bounds: list[int], clk: ClockSpec,
     return slews + paths
 
 
+def _link_of(runs: list[_SubRun]) -> LinkSentence:
+    """The candidate made of runs, .cb promoted."""
+    return LinkSentence(((BlockKind.S, DEFAULT_SUBTYPE),
+                         *chain.from_iterable(run.tokens for run in runs)))
+
+
 def _schedule(M: int, K: int):
-    """The candidates in search order: (register slots, R/S tokens, buffer
-    counts, sub-run keys), a key being (source is S, destination is S, slots,
-    buffers)."""
+    """The candidates in search order: (R/S tokens, sub-run keys), a key being
+    (source is S, destination is S, slots, buffers)."""
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
         bounds = [0] + reg_pos + [M + 1]
@@ -301,14 +340,14 @@ def _schedule(M: int, K: int):
         minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
         ends = [True] + [False] * r + [True]
         for budgets in _budget_vectors(sub_lens, minima):
-            yield reg_pos, bounds, budgets, list(zip(ends, ends[1:], sub_lens, budgets))
+            yield bounds, list(zip(ends, ends[1:], sub_lens, budgets))
 
 
 def _refuse_all(M: int, K: int, reason: str) -> SynthesisResult:
     """The search when every candidate fails for one reason: each is logged unpromoted."""
     texts: dict = {}
     log = []
-    for _, _, _, keys in _schedule(M, K):
+    for _, keys in _schedule(M, K):
         parts = ["S"]
         for key in keys:
             if key not in texts:
@@ -332,31 +371,28 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
     check_tables(ts, cfg)
     clk = spec.clock
     slew_max = cfg.slew_legal_max
-    records: dict = {}  # sub-run key -> _SubRun, or None for is_valid
+    records: dict = {}  # sub-run key -> _SubRun
     iterations = 0
     log: list[str] = []
     reasons: list[str] = ["no candidate attempted"]
-    for reg_pos, bounds, budgets, keys in _schedule(M, ts.K):
+    for bounds, keys in _schedule(M, ts.K):
         iterations += 1
         runs = []
         for key in keys:
             if key not in records:
                 records[key] = _analyze_sub_run(*key, limit, ts, cfg, clk)
             runs.append(records[key])
-        if None in runs:
-            link = _promote_clock_buffers(_assemble(M, reg_pos, budgets), limit)
-            text = serialize_link(link)
-            ok, reasons = is_valid(link, spec, ts, cfg)
-        else:
-            link = None
-            text = "S " + " ".join([run.text for run in runs])
+        text = "S " + " ".join([run.text for run in runs])
+        if all(map(_judged, runs)):
             reasons = [_reason(v) for v in _judge(runs, bounds, clk, slew_max)]
             ok = not reasons
+        elif (error := _chain_error(runs)) is not None:
+            ok, reasons = False, [error]
+        else:  # a clock stage reaches T/2
+            ok, reasons = is_valid(_link_of(runs), spec, ts, cfg)
         if ok:
             log.append(f"{text} -> valid")
-            if link is None:
-                link = LinkSentence(((BlockKind.S, DEFAULT_SUBTYPE),
-                                     *chain.from_iterable(run.tokens for run in runs)))
+            link = _link_of(runs)
             kinds = link.kinds()[1:-1]
             counts = (kinds.count(BlockKind.W), kinds.count(BlockKind.B),
                       kinds.count(BlockKind.R))

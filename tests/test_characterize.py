@@ -2,19 +2,24 @@ import hashlib
 import io
 import math
 import random
+from bisect import bisect_left
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import ACTIVE
 from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
                                load_tables, reconstruct_lookup, save_tables,
-                               slew_grid, table_lookup, tables_equal,
+                               slew_grid, table_lookup, table_view, tables_equal,
                                validate_tables)
 from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
                          MonotonicityError, NotOnGrid, SegmentTooLong,
                          SlewOutOfRange)
 from gnoc.golden import Corner, golden_segment
+from gnoc.grammar import parse_link
+from gnoc.hasta import analyze_path
 from gnoc.techlib import BlockKind, load_tech_config, serialize_tech_config, with_slew_grid
 
 # sha256 and size of save_tables(build_tables(cfg)) per slew grid size L
@@ -297,6 +302,106 @@ def test_off_grid_lookups_pinned(cfg, tables):
                                              LookupMode.INTERPOLATE, purpose))).encode())
     assert digest.hexdigest() == (
         "d4b1d15d5a8d0308dd4f273058e9317595674e1ab8db99c8177cab54e7fbcdf8")
+
+
+def reference_reconstruct_slew(rows, slew, n_wires, slew_in, lo):
+    """Output slew between rows lo and lo + 1, differencing the rows per call:
+    the arithmetic that the per-interval constants must reproduce bit for bit."""
+    i0 = min(max(lo - 1, 0), len(rows) - 3)
+    xs = rows[i0:i0 + 3]
+    ys = [slew[i0 + j][n_wires] ** 2 for j in range(3)]
+    s2 = 0.0
+    for j in range(3):
+        term = ys[j]
+        for m in range(3):
+            if m != j:
+                term *= (slew_in - xs[m]) / (xs[j] - xs[m])
+        s2 += term
+    return math.sqrt(max(s2, 0.0))
+
+
+def reference_blend(rows, cells, n_wires, slew_in, lo):
+    """Linear blend of rows lo and lo + 1, differencing the rows per call."""
+    frac = (slew_in - rows[lo]) / (rows[lo + 1] - rows[lo])
+    return (1.0 - frac) * cells[lo][n_wires] + frac * cells[lo + 1][n_wires]
+
+
+@pytest.fixture(scope="module")
+def tables20(cfg):
+    """A 20-row grid, whose row spacing (36/19) is not a power of two."""
+    return build_tables(with_slew_grid(cfg, 20))
+
+
+@given(fine=st.booleans(), pair=st.sampled_from(list(product(ACTIVE, ACTIVE))),
+       n=st.integers(0, 9), purpose=st.sampled_from(list(LookupPurpose)),
+       slew=st.floats(4.0, 40.0))
+@settings(max_examples=400, deadline=None)
+def test_off_grid_lookups_equal_reference_arithmetic(tables, tables20, fine, pair, n,
+                                                     purpose, slew):
+    tables = tables20 if fine else tables
+    table = tables.tables[pair]
+    rows = table.rows
+    lo = bisect_left(rows, slew) - 1
+    assume(lo >= 0 and min(slew - rows[lo], rows[lo + 1] - slew) > 1e-6)
+    delay = table.delay[purpose.corner].cells
+    slews = table.slew_out[purpose.corner].cells
+    d = reference_blend(rows, delay, n, slew, lo)
+    got = reconstruct_lookup(tables, *pair, n, slew, purpose)
+    assert got == (d, reference_reconstruct_slew(rows, slews, n, slew, lo), False)
+    got = table_lookup(tables, *pair, n, slew, LookupMode.INTERPOLATE, purpose)
+    assert got == (d, reference_blend(rows, slews, n, slew, lo), False)
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_views_hold_one_copy_of_each_table(tables, source):
+    """Each view's delay and slew-out rows are the Grid cells themselves, and
+    both corners share one per-interval list of constants taken from the rows."""
+    if source == "loaded":
+        buf = io.StringIO()
+        save_tables(tables, buf)
+        tables = load_tables(io.StringIO(buf.getvalue()))
+    for (src, dst), table in tables.tables.items():
+        rows = table.rows
+        views = [table_view(tables, src, dst, purpose) for purpose in LookupPurpose]
+        for purpose, view in zip(LookupPurpose, views):
+            assert view[0] is rows
+            assert view[1] is table.delay[purpose.corner].cells
+            assert view[2] is table.slew_out[purpose.corner].cells
+            assert tables.views[purpose][ACTIVE.index(src)][ACTIVE.index(dst)] is view
+        intervals = views[0][4]
+        assert views[1][4] is intervals
+        assert len(intervals) == tables.L - 1
+        for lo, consts in enumerate(intervals):
+            assert all(type(x) in (int, float) for x in consts)
+            i0, x0, x1, x2, *diffs, width = consts
+            assert [x0, x1, x2] == rows[i0:i0 + 3] and i0 in (lo - 1, lo, tables.L - 3)
+            assert diffs == [x0 - x1, x0 - x2, x1 - x0, x1 - x2, x2 - x0, x2 - x1]
+            assert width == rows[lo + 1] - rows[lo]
+
+
+def test_two_row_grid_reconstructs_only_grid_rows(cfg):
+    """With L = 2 the grid rows and INTERPOLATE still work, but a slew between
+    the rows cannot be reconstructed: NotOnGrid, naming the rows it needs."""
+    ts = build_tables(with_slew_grid(cfg, 2))
+    rows = slew_grid(with_slew_grid(cfg, 2))
+    table = ts.tables[(BlockKind.B, BlockKind.B)]
+    assert table_view(ts, BlockKind.B, BlockKind.B, LookupPurpose.SETUP_MAX)[4] \
+        == [(rows[1] - rows[0],)]
+    for purpose, (i, s) in product(LookupPurpose, enumerate(rows)):
+        res = reconstruct_lookup(ts, BlockKind.B, BlockKind.B, 3, s, purpose)
+        assert res == (table.delay[purpose.corner][i, 3],
+                       table.slew_out[purpose.corner][i, 3], False)
+    mid = (rows[0] + rows[1]) / 2
+    res = table_lookup(ts, BlockKind.B, BlockKind.B, 3, mid, LookupMode.INTERPOLATE,
+                       LookupPurpose.HOLD_MIN)
+    assert res.delay == pytest.approx(golden_segment(BlockKind.B, BlockKind.B, 3, mid,
+                                                     Corner.MIN, cfg).delay, rel=1e-12)
+    for purpose in LookupPurpose:
+        with pytest.raises(NotOnGrid, match=r"L >= 3 .*L = 2"):
+            reconstruct_lookup(ts, BlockKind.B, BlockKind.B, 3, mid, purpose)
+        with pytest.raises(NotOnGrid, match=r"L >= 3 .*L = 2"):
+            analyze_path(parse_link("S W W B W W B W W S"), ts, rows[0],
+                         LookupMode.EXACT, purpose)
 
 
 def test_finer_grid_shrinks_slew_interp_error(cfg):

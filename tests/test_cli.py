@@ -149,6 +149,43 @@ def test_validate_tight_tolerance_fails(ws, capsys):
                                    "--tol", "0")]) == 1
 
 
+def characterize_variant(ws, tmp_path, old, new):
+    """A tech config with old replaced by new, and its tables; the args naming both."""
+    tech = tmp_path / "variant.cfg"
+    tech.write_text((ws / "tech.cfg").read_text().replace(old, new))
+    tables = tmp_path / "variant.csv"
+    assert main(["characterize", "--tech", str(tech), "--out", str(tables)]) == 0
+    return ["--tech", str(tech), "--tables", str(tables)]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_exact_on_two_row_grid_is_usage_error(ws, tmp_path, capsys, command):
+    """Chained slews between two rows cannot be reconstructed from two rows."""
+    variant = characterize_variant(ws, tmp_path, "L = 10", "L = 2")
+    capsys.readouterr()
+    link = write_link(ws, "S W W B W W B W W S")
+    assert main([command, *variant, "--link", link, "--period", "100",
+                 "--mode", "exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "L >= 3" in captured.err
+    assert "L = 2" in captured.err
+
+
+def test_validate_launches_from_first_grid_row(ws, tmp_path, capsys):
+    """Without --launch-slew both sides launch from slew_grid_min, a grid row."""
+    variant = characterize_variant(ws, tmp_path, "slew_grid_min = 4.0",
+                                   "slew_grid_min = 6.0")
+    link = write_link(ws, "S W W B W W B W W S")
+    capsys.readouterr()
+    assert main(["validate", *variant, "--link", link, "--mode", "exact"]) == 0
+    default = capsys.readouterr().out
+    assert main(["validate", *variant, "--link", link, "--mode", "exact",
+                 "--launch-slew", "6.0"]) == 0
+    assert capsys.readouterr().out == default
+    assert default.splitlines()[-1].startswith("max_rel_err=")
+
+
 def test_synthesize_writes_link(ws, tmp_path, capsys):
     out = tmp_path / "syn.gnoc"
     assert main(["synthesize", *args(ws, "--length", "11",

@@ -334,3 +334,21 @@ def test_judged_slacks_equal_analyze_link(cfg, tables, monkeypatch):
     paths = analyze_link(res.link, tables, cfg, spec.clock).paths
     assert judged["setup"][-len(paths):] == [(p.skew, p.setup_slack) for p in paths]
     assert judged["hold"][-len(paths):] == [(p.skew, p.hold_slack) for p in paths]
+
+
+def test_raising_sub_run_needs_no_analyze_link(cfg, tables, monkeypatch):
+    """A candidate refused for a sub-run's chain error is judged from the
+    record: the error text is analyze_link's, but analyze_link never runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return analyze_link(*args, **kwargs)
+
+    monkeypatch.setattr(synthesize, "analyze_link", counted)
+    spec = LinkSpec(length_slots=17, period=177.31)
+    res = synthesize_link(spec, tables, cfg)
+    first = res.log[0].split(" -> ")
+    assert first[1].startswith("SlewOutOfRange: ") and res.valid
+    assert calls == []
+    assert is_valid(parse_link(first[0]), spec, tables, cfg) == (False, [first[1]])
