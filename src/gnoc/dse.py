@@ -119,16 +119,23 @@ def parse_candidates(text: str) -> list[Candidate]:
                 raise ParseError(f"line {lineno}: island outside candidate block")
             if len(words) != 3:
                 raise ParseError(f"line {lineno}: expected 'island <name> <cost>'")
-            islands.append((words[1], _num(words[2], lineno)))
+            cost = _num(words[2], lineno)
+            if not 0.0 <= cost < math.inf:
+                raise ParseError(f"line {lineno}: island cost must be finite "
+                                 f"and >= 0, got {words[2]!r}")
+            islands.append((words[1], cost))
         elif kw == "link":
             if name is None:
                 raise ParseError(f"line {lineno}: link outside candidate block")
             if len(words) not in (4, 5):
                 raise ParseError(f"line {lineno}: expected "
                                  f"'link <name> <length> <period> [jitter]'")
+            length = _num(words[2], lineno)
+            if not length.is_integer():  # NaN and inf are not either
+                raise ParseError(f"line {lineno}: link length must be a whole "
+                                 f"number, got {words[2]!r}")
             jitter = _num(words[4], lineno) if len(words) == 5 else 0.0
-            links.append(LinkSpec(name=words[1],
-                                  length_slots=int(_num(words[2], lineno)),
+            links.append(LinkSpec(name=words[1], length_slots=int(length),
                                   period=_num(words[3], lineno),
                                   jitter=jitter))
         elif kw == "end":

@@ -4,20 +4,28 @@ Candidates start as all plain wire; buffers are added one at a time, evenly
 placed, and when no all-wire/buffer mix can close timing the search switches
 to registers (again evenly placed), re-buffering each registered sub-run.
 The first valid candidate under this schedule is the cheapest even-placement
-solution: register count first, then total buffer count.  Clock-buffer
-sub-types are assigned by a greedy half-period rule before each candidate is
-judged.  Every candidate is logged with its verdict.
+solution: register count first, then total buffer count.  Every candidate
+tried is logged with its verdict.
+
+Clock-buffer sub-types follow a greedy rule: no clock stage may span more
+than max_clock_run(T) unbuffered slots, the most whose MAX-corner delay stays
+below T/2.  The limit depends only on the period, so it is found once per
+call; when even a zero-slot stage reaches T/2 no candidate can be valid, and
+the spec is refused for ClockUnsatisfiable before any is tried.  Otherwise no
+promoted candidate has a clock stage at T/2, since the stage delay grows with
+the slot count.
 
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
 sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
 one synthesize_link call each sub-run is analyzed once, keyed by (its source
 is S, its destination is S, its slot count, its buffer count), and every
-candidate is judged from those records.  That gives the same verdicts, bit
-for bit, as analyze_link on the whole candidate (is_valid):
+candidate is judged from those records in one search loop.  That gives the
+same verdicts, bit for bit, as analyze_link on the whole candidate
+(is_valid):
 
 - the buffer positions depend only on the slot and buffer counts, and the
   .cb promotion restarts at every active block, so a sub-run's tokens and
-  their text depend only on the key (and the call's clock-run limit);
+  their text depend only on the key and the clock-run limit;
 - every flop-to-flop path is exactly one sub-run, and in PESSIMISTIC mode it
   launches from the clock slew, so its table stages, its delay sums (taken
   from 0.0 in segment order) and its SLEW_RANGE findings do too;
@@ -29,12 +37,11 @@ for bit, as analyze_link on the whole candidate (is_valid):
 
 A sub-run's setup and hold chains each start from the clock slew, so a
 record also keeps the error text of each chain that raises.  analyze_link
-chains the whole setup pass before the hold pass, so a candidate's reason
-is the first setup-pass error in sub-run order, else the first hold-pass
-one.  Only a candidate with a clock stage that reaches T/2 goes through
-is_valid instead, so that violation's text and order stay the analyzer's.
-The records are local to the call: nothing carries from one call to the
-next.
+chains the whole setup pass before the hold pass, so a candidate holding a
+raising sub-run is refused for the first setup-pass error in sub-run order,
+else the first hold-pass one; any other candidate is judged by its
+violations.  The records are local to the call: nothing carries from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -49,9 +56,8 @@ from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_buffer_latencies, clock_stage_delay
 from .grammar import LinkSentence, Token, token_text, walk_link
-from .hasta import (Violation, _chain, _clock_violations, analyze_link,
-                    check_tables, clock_slew, hold_check, path_violations,
-                    setup_check, slew_violation)
+from .hasta import (Violation, _chain, analyze_link, check_tables, clock_slew,
+                    hold_check, path_violations, setup_check, slew_violation)
 from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
                       ClockSpec, TechConfig, block_params)
 
@@ -235,7 +241,7 @@ class _SubRun(NamedTuple):
     tokens: tuple[Token, ...]  # after the source, .cb promoted
     text: str                  # the tokens, serialized
     gaps: list[float]          # NOMINAL clock stage delay per buffer gap, in token order
-    judged: bool               # no chain raised and no clock stage reaches T/2
+    judged: bool               # neither chain raised
     setup_error: str | None    # the setup chain's error reason, None when it ran
     hold_error: str | None     # the hold chain's
     delay_max: float           # setup-pass path delay, summed from 0.0
@@ -256,7 +262,7 @@ def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
 
 
 def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
-                     ts: TableSet, cfg: TechConfig, clk: ClockSpec) -> _SubRun:
+                     ts: TableSet, cfg: TechConfig) -> _SubRun:
     """The record of a sub-run.  When a chain raised, its delays and slew
     findings are empty: a candidate holding the sub-run is refused for the error."""
     run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(src_s, dst_s, m, b))),
@@ -266,8 +272,6 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
     delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL)
-    judged = (setup_error is None and hold_error is None
-              and not _clock_violations(buffers, delay_of, cfg, clk))
     slew_max = cfg.slew_legal_max
     slews = []
     d_max = d_min = 0.0
@@ -280,22 +284,18 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     q = block_params(cfg, tokens[-1][0])
     return _SubRun(tokens, " ".join(map(token_text, tokens)),
                    [delay_of[j - i] for i, j in zip(buffers, buffers[1:])],
-                   judged, setup_error, hold_error, d_max, d_min, q.t_su, q.t_h, slews)
+                   setup_error is None and hold_error is None,
+                   setup_error, hold_error, d_max, d_min, q.t_su, q.t_h, slews)
 
 
 _judged = attrgetter("judged")
 
 
-def _chain_error(runs: list[_SubRun]) -> str | None:
-    """analyze_link's chain error for the candidate made of runs: the whole
-    setup pass runs before the hold pass, each relaunching at every R/S."""
-    for run in runs:
-        if run.setup_error is not None:
-            return run.setup_error
-    for run in runs:
-        if run.hold_error is not None:
-            return run.hold_error
-    return None
+def _chain_error(runs: list[_SubRun]) -> str:
+    """analyze_link's chain error for a candidate of runs, one of which raised:
+    the whole setup pass runs before the hold pass, each relaunching at every R/S."""
+    errors = [run.setup_error for run in runs] + [run.hold_error for run in runs]
+    return next(error for error in errors if error is not None)
 
 
 def _judge(runs: list[_SubRun], bounds: list[int], clk: ClockSpec,
@@ -343,31 +343,15 @@ def _schedule(M: int, K: int):
             yield bounds, list(zip(ends, ends[1:], sub_lens, budgets))
 
 
-def _refuse_all(M: int, K: int, reason: str) -> SynthesisResult:
-    """The search when every candidate fails for one reason: each is logged unpromoted."""
-    texts: dict = {}
-    log = []
-    for _, keys in _schedule(M, K):
-        parts = ["S"]
-        for key in keys:
-            if key not in texts:
-                texts[key] = " ".join(map(token_text, _sub_run_tokens(*key)[1:]))
-            parts.append(texts[key])
-        log.append(f"{' '.join(parts)} -> {reason}")
-    return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
-                           iterations=len(log), valid=False, reasons=(reason,),
-                           log=tuple(log))
-
-
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
     """Search the (registers, buffers) schedule for the first valid candidate."""
     M = spec.length_slots
-    # the limit depends only on the period, so it is found once per spec;
-    # when it does not exist, every candidate is refused for that reason
     try:
         limit = max_clock_run(cfg, spec.period)
-    except ClockUnsatisfiable as exc:
-        return _refuse_all(M, ts.K, f"ClockUnsatisfiable: {exc}")
+    except ClockUnsatisfiable as exc:  # no candidate can be valid: try none
+        return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
+                               iterations=0, valid=False,
+                               reasons=(f"ClockUnsatisfiable: {exc}",))
     check_tables(ts, cfg)
     clk = spec.clock
     slew_max = cfg.slew_legal_max
@@ -380,17 +364,14 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         runs = []
         for key in keys:
             if key not in records:
-                records[key] = _analyze_sub_run(*key, limit, ts, cfg, clk)
+                records[key] = _analyze_sub_run(*key, limit, ts, cfg)
             runs.append(records[key])
         text = "S " + " ".join([run.text for run in runs])
         if all(map(_judged, runs)):
             reasons = [_reason(v) for v in _judge(runs, bounds, clk, slew_max)]
-            ok = not reasons
-        elif (error := _chain_error(runs)) is not None:
-            ok, reasons = False, [error]
-        else:  # a clock stage reaches T/2
-            ok, reasons = is_valid(_link_of(runs), spec, ts, cfg)
-        if ok:
+        else:
+            reasons = [_chain_error(runs)]
+        if not reasons:
             log.append(f"{text} -> valid")
             link = _link_of(runs)
             kinds = link.kinds()[1:-1]

@@ -241,11 +241,11 @@ def _validate(cfg: TechConfig):
     if not cfg.slew_legal_min < cfg.slew_legal_max:
         raise InvalidValue("slew legality range is empty")
     for name in ("pitch_r", "pitch_c", "beta", "cb_surcharge"):
-        if getattr(cfg, name) < 0.0:
+        if not getattr(cfg, name) >= 0.0:  # NaN fails too
             raise InvalidValue(f"{name} must be nonnegative")
     for kind, p in cfg.params.items():
         for fname, fval in vars(p).items():
-            if fval < 0.0:
+            if not fval >= 0.0:
                 raise InvalidValue(f"[kind {kind}] {fname} must be nonnegative, got {fval}")
         if kind in ACTIVE_KINDS and not (p.r_drv > 0.0 and p.c_in > 0.0):
             raise InvalidValue(f"[kind {kind}] active kinds need r_drv > 0 and c_in > 0")
@@ -259,7 +259,7 @@ def _validate(cfg: TechConfig):
             f"pitch_r={cfg.pitch_r} pitch_c={cfg.pitch_c} "
             f"cb_r_drv={cb.cb_r_drv} cb_c_in={cb.cb_c_in}")
     for kind in BlockKind:
-        if cfg.area_cost.get(kind, -1.0) < 0.0:
+        if not cfg.area_cost.get(kind, -1.0) >= 0.0:
             raise InvalidValue(f"area_cost for kind {kind} must be nonnegative")
 
 

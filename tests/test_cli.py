@@ -201,6 +201,36 @@ def test_synthesize_unsatisfiable(ws, tmp_path, capsys):
     assert rc == 1
 
 
+BELOW_CLOCK_FLOOR = ("ClockUnsatisfiable: clock stage with zero unbuffered "
+                     "slots already >= T/2 = 4.75")
+
+
+def test_synthesize_below_clock_floor_tries_nothing(ws, tmp_path):
+    """Below the clock floor no candidate can be valid, so none is tried or
+    printed; 30 slots at T = 9.5 used to print 635,643 try: lines first."""
+    out = tmp_path / "x.gnoc"
+    proc = subprocess.run([sys.executable, "-m", "gnoc.cli", "synthesize",
+                           *args(ws, "--length", "30", "--period", "9.5",
+                                 "--out", str(out))],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 1
+    assert proc.stdout == f"unsynthesizable: {BELOW_CLOCK_FLOOR}\n"
+    assert not out.exists()
+
+
+def test_dse_ledger_below_clock_floor(ws, tmp_path, capsys):
+    cands = tmp_path / "cands.txt"
+    cands.write_text("candidate a\nisland core 100\nlink l 30 9.5\nend\n"
+                     "candidate b\nisland core 100\nlink l 2 100\nend\n")
+    assert main(["dse", *args(ws, "--candidates", str(cands))]) == 0
+    assert capsys.readouterr().out == (
+        "name,valid,cost,detail\n"
+        f"a,0,inf,link 'l' unsynthesizable: {BELOW_CLOCK_FLOOR}\n"
+        "b,1,142,\n"
+        "best=b cost=142 evaluated=2\n")
+
+
 @pytest.mark.parametrize("command", ["synthesize", "dse"])
 def test_infinite_period_is_usage_error(ws, tmp_path, command):
     """An infinite period is refused up front; synthesis under it never ended."""

@@ -109,6 +109,13 @@ def test_parse_candidates_round_trip():
     "island core 100\n",
     "candidate a\nisland core\nend\n",
     "candidate a\nlink l 2 ten\nend\n",
+    "candidate a\nlink l 2.7 100\nend\n",
+    "candidate a\nlink l nan 100\nend\n",
+    "candidate a\nlink l inf 100\nend\n",
+    "candidate a\nlink l -inf 100\nend\n",
+    "candidate a\nisland i nan\nend\n",
+    "candidate a\nisland i inf\nend\n",
+    "candidate a\nisland i -1\nend\n",
     "candidate a\ncandidate b\nend\n",
     "candidate a\nisland core 100\n",
     "candidate a\nbogus 1\nend\n",

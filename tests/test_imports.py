@@ -1,4 +1,5 @@
-"""Every name a gnoc module imports is used in that module."""
+"""Every name a gnoc module imports is used in that module, and every
+top-level private function of gnoc is referred to somewhere."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import gnoc
 
 PACKAGE = Path(gnoc.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Imported but not used on purpose: perfbench's tracer wraps these names in
 # gnoc.hasta, so they must stay importable from there.
@@ -39,3 +41,47 @@ def test_no_unused_imports():
               for name in unused_imports(path.read_text())
               if (path.name, name) not in ALLOWED]
     assert unused == []
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in tree."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def unused_private_functions(package: list[str], others: list[str]) -> list[str]:
+    """Top-level _private functions of the package sources that no source
+    refers to outside their own definition."""
+    used = set().union(*(names_used(ast.parse(source)) for source in others))
+    private = []  # (name, names its definition uses)
+    for source in package:
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                private.append((node.name, names_used(node)))
+            else:
+                used |= names_used(node)
+    return [name for i, (name, _) in enumerate(private)
+            if name not in used
+            and not any(name in body for j, (_, body) in enumerate(private) if j != i)]
+
+
+def test_unused_private_function_is_caught():
+    package = ["def _a():\n    _a()\n\ndef _b(): pass\n\ndef c(): _b()\n",
+               "def _d(): pass\n"]
+    assert unused_private_functions(package, []) == ["_a", "_d"]
+    assert unused_private_functions(package, ["from m import _a\nm._d()\n"]) == []
+
+
+def test_no_unused_private_functions():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert len(package) > 1 and tests
+    assert unused_private_functions(package, tests) == []

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import time
 from collections import Counter
 from itertools import islice
 
@@ -11,13 +13,16 @@ from gnoc import synthesize
 from gnoc.characterize import LookupPurpose
 from gnoc.errors import ClockUnsatisfiable, GnocError
 from gnoc.golden import Corner, clock_stage_delay
-from gnoc.grammar import parse_link, serialize_link
-from gnoc.hasta import analyze_link
+from gnoc.grammar import LinkSentence, parse_link, serialize_link
+from gnoc.hasta import analyze_link, clock_check
 from gnoc.synthesize import (LinkSpec, SynthesisResult, _assemble,
                              _budget_vectors, _min_buffers_for_gap,
+                             _promote_clock_buffers, _sub_run_tokens,
                              assign_clock_subtypes, insert_evenly, is_valid,
                              link_cost, max_clock_run, synthesize_link)
-from gnoc.techlib import BlockKind
+from gnoc.techlib import BlockKind, ClockSpec
+
+from conftest import random_link
 
 
 def test_insert_evenly_examples():
@@ -155,6 +160,20 @@ def test_synthesize_unsatisfiable_clock(cfg, tables):
     assert not res.valid
     assert res.cost == float("inf")
     assert any("ClockUnsatisfiable" in r for r in res.reasons)
+    # refused up front: no candidate is tried or logged
+    assert res.iterations == 0 and res.log == ()
+    # 30 slots at T = 9.5 enumerated 635,643 candidates before the refusal
+    spec = LinkSpec(length_slots=30, period=9.5)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        res = synthesize_link(spec, tables, cfg)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.010
+    assert res == SynthesisResult(
+        link=None, cost=math.inf, counts=(0, 0, 0), iterations=0, valid=False,
+        reasons=("ClockUnsatisfiable: clock stage with zero unbuffered slots "
+                 "already >= T/2 = 4.75",))
 
 
 def test_tighter_period_never_cheaper(cfg, tables):
@@ -175,8 +194,9 @@ def test_result_is_valid_post_hoc(cfg, tables):
 
 def test_synthesis_pinned(cfg, tables):
     """Every SynthesisResult field, log included, over 194 specs: lengths
-    1..12 at eight periods (unsatisfiable at 9 and 9.5) with and without
-    jitter, plus 30 slots at T = 90 and 34 at T = 50 (four registers)."""
+    1..12 at eight periods (unsatisfiable at 9 and 9.5, which log nothing)
+    with and without jitter, plus 30 slots at T = 90 and 34 at T = 50 (four
+    registers)."""
     specs = [LinkSpec(length_slots=M, period=T, jitter=jitter)
              for M in range(1, 13)
              for T in (9.0, 9.5, 12.0, 20.0, 30.0, 45.0, 60.0, 90.0)
@@ -191,12 +211,14 @@ def test_synthesis_pinned(cfg, tables):
         for line in res.log:
             for reason in line.split(" -> ", 1)[1].split("; "):
                 kinds[reason.split(" ", 1)[0].rstrip(":")] += 1
+        kinds["ClockUnsatisfiable"] += any(
+            reason.startswith("ClockUnsatisfiable: ") for reason in res.reasons)
         kinds["registers >= 3"] += res.valid and res.counts[2] >= 3
     assert set(kinds) == {"valid", "COMB_GT_PERIOD", "SETUP", "HOLD", "SLEW_RANGE",
                           "SlewOutOfRange", "ClockUnsatisfiable", "registers >= 3"}
     assert all(kinds.values())
     assert digest.hexdigest() == (
-        "9febd6eb786a32c6eace69de150adbc80a1971a993153c44b68b5ee2d6d39be6")
+        "d9bd9a84577fc6552ac3c26e014e113ca43d9913f1c3c2955aa9f61cd36de7da")
 
 
 def schedule(M, K):
@@ -212,8 +234,15 @@ def schedule(M, K):
 
 def reference_synthesize(spec, ts, cfg):
     """The search with one full analysis per candidate: _assemble, then
-    assign_clock_subtypes, then is_valid."""
+    assign_clock_subtypes, then is_valid.  A period no clock stage fits is
+    refused before any candidate."""
     M = spec.length_slots
+    try:
+        max_clock_run(cfg, spec.period)
+    except ClockUnsatisfiable as exc:
+        return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
+                               iterations=0, valid=False,
+                               reasons=(f"ClockUnsatisfiable: {exc}",))
     iterations, log, reasons = 0, [], ["no candidate attempted"]
     for reg_pos, _, budgets in schedule(M, ts.K):
         link = _assemble(M, reg_pos, budgets)
@@ -285,6 +314,50 @@ def test_max_clock_run_equals_linear_scan(cfg):
                 max_clock_run(cfg, T)
         else:
             assert max_clock_run(cfg, T) == want, T
+
+
+def edge_periods(cfg):
+    """Each T = 2 * clock_stage_delay(n) and one ulp either side, n < 30,
+    where a stage of n unbuffered slots just stops fitting; satisfiable only."""
+    periods = []
+    for n in range(30):
+        edge = 2.0 * clock_stage_delay(n, cfg, Corner.MAX)
+        periods += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    return [T for T in periods if T > 2.0 * clock_stage_delay(0, cfg, Corner.MAX)]
+
+
+def test_promoted_sub_runs_have_no_late_clock_stage(cfg, tables):
+    """Every sub-run synthesis forms (either end S or R, up to 3 K slots,
+    every buffer count), promoted at a satisfiable period, has every clock
+    stage below T/2, so no candidate can fail clock_check."""
+    periods = edge_periods(cfg)
+    assert len(periods) == 88
+    by_limit = {}
+    for T in periods:
+        by_limit.setdefault(max_clock_run(cfg, T), []).append(ClockSpec(period=T))
+    keys = [(src_s, dst_s, m, b) for src_s in (False, True) for dst_s in (False, True)
+            for m in range(3 * tables.K + 1) for b in range(m + 1)]
+    for key in keys:
+        run = LinkSentence(tuple(_sub_run_tokens(*key)))
+        for limit, clocks in by_limit.items():
+            promoted = _promote_clock_buffers(run, limit)
+            for clk in clocks:
+                assert clock_check(promoted, cfg, clk) == [], (key, clk.period)
+
+
+def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
+    """Random B/R/S links, .cb tags and all, at the edge periods and random
+    satisfiable ones."""
+    rng = random.Random(11)
+    floor = 2.0 * clock_stage_delay(0, cfg, Corner.MAX)
+    periods = edge_periods(cfg) + [rng.uniform(floor, 400.0) for _ in range(40)]
+    for _ in range(300):
+        link = random_link(rng, rng.randint(1, 12), 0, 40, cb_prob=0.2)
+        T = rng.choice(periods)
+        spec = LinkSpec(length_slots=len(link) - 2, period=T)
+        out = assign_clock_subtypes(link, spec, cfg)
+        assert out.kinds() == link.kinds()
+        assert clock_check(out, cfg, spec.clock) == [], (serialize_link(link), T)
 
 
 def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):

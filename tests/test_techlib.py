@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from gnoc.cli import main
 from gnoc.errors import InvalidValue, MissingKey, ParseError
 from gnoc.synthesize import max_clock_run
 from gnoc.techlib import (BlockKind, ClockSpec, block_params, load_tech_config,
@@ -93,6 +94,33 @@ def test_negative_parameter_rejected():
     bad = MINIMAL.replace("d0 = 12.0", "d0 = -1.0")
     with pytest.raises(InvalidValue):
         load_tech_config(bad)
+
+
+GLOBAL_KEYS = ("pitch_r", "pitch_c", "beta", "cb_surcharge",
+               "cb_d0", "cb_r_drv", "cb_c_in", "cb_s0")
+BLOCK_KEYS = ("d0", "k_sl", "r_drv", "c_in", "s0", "k_sin", "k_sload",
+              "d_cq", "t_su", "t_h", "area_cost")
+
+
+@pytest.mark.parametrize("key", GLOBAL_KEYS + BLOCK_KEYS)
+def test_nan_parameter_rejected(cfg, tmp_path, capsys, key):
+    """NaN fails every ordered comparison, so it must not pass as nonnegative;
+    characterize refuses it instead of writing tables that will not load."""
+    head, mark, tail = serialize_tech_config(cfg).partition("[kind R]")
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if key in GLOBAL_KEYS:
+        head, n = line.subn(f"{key} = nan", head, count=1)
+    else:
+        tail, n = line.subn(f"{key} = nan", tail, count=1)
+    assert n == 1
+    with pytest.raises(InvalidValue, match=f"{key}.* must be nonnegative"):
+        load_tech_config(head + mark + tail)
+    tech = tmp_path / "nan.cfg"
+    tech.write_text(head + mark + tail)
+    out = tmp_path / "tables.csv"
+    assert main(["characterize", "--tech", str(tech), "--out", str(out)]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_key():
