@@ -23,6 +23,15 @@ clock model once, per buffer rather than per token: NOMINAL latencies at
 the buffers give the skews.  Clock-stage violations are judged once per
 distinct wire gap at the MAX corner; the stage spans are built, in token
 order, only when some gap is late.
+
+Paths are judged in two steps, and synthesis shares both.  flop_paths turns
+the chained stages into one record per flop-to-flop path: (span in tokens,
+clock stages, t_su, t_h, delay_max, delay_min, SLEW_RANGE findings as
+(token offset, n_wires, slew_out)), delays summed from 0.0 in segment
+order.  Every position counts from the path's own launch token and launch
+buffer, so a record does not depend on where the path sits, nor on the
+period.  judge_paths lays records end to end from token 0 and reads skews
+from the clock latencies at their buffers.
 """
 
 from __future__ import annotations
@@ -42,10 +51,14 @@ from .characterize import (LookupMode, LookupPurpose, TableSet,
 from .errors import TableMismatch
 from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
                      clock_buffer_latencies, clock_stage_delay)
-from .grammar import (LinkSentence, Segment, segment_decompose, segment_steps,
+from .grammar import (LinkSentence, Segment, Step, segment_decompose, segment_steps,
                       serialize_link, walk_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
+
+# (span in tokens, clock stages, t_su, t_h, delay_max, delay_min,
+#  ((token offset, n_wires, slew_out) per SLEW_RANGE finding)); see flop_paths
+FlopPath = tuple[int, int, float, float, float, float, tuple]
 
 
 class PathDirection(Enum):
@@ -136,6 +149,61 @@ def path_violations(launch: int, capture: int, setup_slack: float,
             ViolationKind.COMB_GT_PERIOD, loc,
             f"combinational delay {delay_max:.6g} > period {period:.6g}"))
     return found
+
+
+def flop_paths(steps: list[Step], setup: list[StageResult], hold: list[StageResult],
+               cfg: TechConfig) -> list[FlopPath]:
+    """The flop-to-flop path records of chained stages, one per R or S capture.
+
+    steps are walk_link's, setup and hold the two passes' stages over them.
+    Positions in a record count from its launch token and launch buffer.
+    """
+    params = [block_params(cfg, kind) for kind in ACTIVE_KINDS]
+    buffer = ACTIVE_KINDS.index(BlockKind.B)
+    slew_max = cfg.slew_legal_max
+    paths = []
+    launch, launch_buffer, d_max, d_min, slews = 0, 0, 0.0, 0.0, ()
+    for (_, dst, n_wires, _, at, capture_buffer), smax, smin in zip(steps, setup, hold):
+        if smax.slew_out > slew_max:
+            slews += ((at - launch, n_wires, smax.slew_out),)
+        d_max += smax.delay
+        d_min += smin.delay
+        if dst == buffer:  # a flop-to-flop path closes at R or S
+            continue
+        capture = at + n_wires + 1
+        q = params[dst]
+        paths.append((capture - launch, capture_buffer - launch_buffer, q.t_su, q.t_h,
+                      d_max, d_min, slews))
+        launch, launch_buffer, d_max, d_min, slews = capture, capture_buffer, 0.0, 0.0, ()
+    return paths
+
+
+def judge_paths(paths: Iterable[FlopPath], latencies: list[float], clk: ClockSpec,
+                slew_max: float) -> tuple[list[PathCheck], list[Violation]]:
+    """Path checks and findings of path records laid end to end from token 0.
+
+    latencies are the NOMINAL clock latencies at the link's buffers, in token
+    order.  The findings are every SLEW_RANGE, then each path's SETUP, HOLD
+    and COMB_GT_PERIOD in path order.
+    """
+    period, jitter = clk.period, clk.jitter
+    checks, slews, found = [], [], []
+    launch = launch_buffer = 0
+    for span, stages, t_su, t_h, d_max, d_min, path_slews in paths:
+        for at, n_wires, slew_out in path_slews:
+            slews.append(slew_violation(launch + at, n_wires, slew_out, slew_max))
+        capture, capture_buffer = launch + span, launch_buffer + stages
+        skew = latencies[capture_buffer] - latencies[launch_buffer]
+        s_slack = setup_check(period, jitter, skew, d_max, t_su)
+        h_slack = hold_check(d_min, skew, t_h)
+        direction = (PathDirection.FORWARD if skew >= 0.0
+                     else PathDirection.BACKWARD)
+        checks.append(PathCheck(launch, capture, d_max, d_min, skew,
+                                s_slack, h_slack, direction))
+        if s_slack < 0.0 or h_slack < 0.0 or d_max > period:
+            found += path_violations(launch, capture, s_slack, h_slack, d_max, period)
+        launch, launch_buffer = capture, capture_buffer
+    return checks, slews + found
 
 
 def check_tables(ts: TableSet, cfg: TechConfig) -> None:
@@ -252,39 +320,9 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                          relaunch_slew=cs)
     delay_of, latencies = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL,
                                                  clock_entry)
-
-    period, jitter, slew_max = clk.period, clk.jitter, cfg.slew_legal_max
-    params = [block_params(cfg, kind) for kind in ACTIVE_KINDS]
-    t_su = [q.t_su for q in params]
-    t_h = [q.t_h for q in params]
-    slew_violations = []
-    path_found = []
-    paths = []
-    buffer = ACTIVE_KINDS.index(BlockKind.B)
-    launch, launch_buffer, d_max, d_min = 0, 0, 0.0, 0.0
-    for (_, dst, n_wires, _, at, capture_buffer), smax, smin in zip(
-            steps, setup_stages, hold_stages):
-        if smax.slew_out > slew_max:
-            slew_violations.append(slew_violation(at, n_wires, smax.slew_out, slew_max))
-        d_max += smax.delay
-        d_min += smin.delay
-        if dst == buffer:  # a flop-to-flop path closes at R or S
-            continue
-        capture = at + n_wires + 1
-        skew = latencies[capture_buffer] - latencies[launch_buffer]
-        s_slack = setup_check(period, jitter, skew, d_max, t_su[dst])
-        h_slack = hold_check(d_min, skew, t_h[dst])
-        direction = (PathDirection.FORWARD if skew >= 0.0
-                     else PathDirection.BACKWARD)
-        paths.append(PathCheck(launch, capture, d_max, d_min, skew,
-                               s_slack, h_slack, direction))
-        if s_slack < 0.0 or h_slack < 0.0 or d_max > period:
-            path_found += path_violations(launch, capture, s_slack, h_slack,
-                                          d_max, period)
-        launch, launch_buffer, d_max, d_min = capture, capture_buffer, 0.0, 0.0
-    violations = (slew_violations + path_found
-                  + _clock_violations(buffers, delay_of, cfg, clk))
-
+    paths, violations = judge_paths(flop_paths(steps, setup_stages, hold_stages, cfg),
+                                    latencies, clk, cfg.slew_legal_max)
+    violations += _clock_violations(buffers, delay_of, cfg, clk)
     return TimingReport(
         link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),
         hold_stages=tuple(hold_stages), paths=tuple(paths),

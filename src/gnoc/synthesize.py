@@ -18,30 +18,20 @@ the slot count.
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
 sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
 one synthesize_link call each sub-run is analyzed once, keyed by (its source
-is S, its destination is S, its slot count, its buffer count), and every
-candidate is judged from those records in one search loop.  That gives the
-same verdicts, bit for bit, as analyze_link on the whole candidate
-(is_valid):
+is S, its destination is S, its slot count, its buffer count); its
+.cb-promoted tokens depend only on the key and the clock-run limit.  Its one
+flop-to-flop path is kept as a hasta.flop_paths record, chained from the
+clock slew as analyze_link relaunches every PESSIMISTIC path, and each
+candidate is judged by hasta.judge_paths, as in analyze_link.  Only the
+latency running sum depends on a sub-run's place, and it is analyze_link's
+sum from 0.0 over the same buffer gaps, so the verdicts equal analyze_link's
+on the whole candidate (is_valid) bit for bit.
 
-- the buffer positions depend only on the slot and buffer counts, and the
-  .cb promotion restarts at every active block, so a sub-run's tokens and
-  their text depend only on the key and the clock-run limit;
-- every flop-to-flop path is exactly one sub-run, and in PESSIMISTIC mode it
-  launches from the clock slew, so its table stages, its delay sums (taken
-  from 0.0 in segment order) and its SLEW_RANGE findings do too;
-- what depends on the sub-run's place is recomputed per candidate with
-  analyze_link's own arithmetic: the NOMINAL clock latencies, one running
-  sum from 0.0 over the concatenated buffer gaps (the same additions in the
-  same order), hence skews and slacks, and the token offsets in the
-  violation locations.
-
-A sub-run's setup and hold chains each start from the clock slew, so a
-record also keeps the error text of each chain that raises.  analyze_link
+A record also keeps the error text of each chain that raises.  analyze_link
 chains the whole setup pass before the hold pass, so a candidate holding a
 raising sub-run is refused for the first setup-pass error in sub-run order,
-else the first hold-pass one; any other candidate is judged by its
-violations.  The records are local to the call: nothing carries from one
-call to the next.
+else the first hold-pass one.  The records are local to the call: nothing
+carries from one call to the next.
 """
 
 from __future__ import annotations
@@ -49,17 +39,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import attrgetter
 from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_buffer_latencies, clock_stage_delay
 from .grammar import LinkSentence, Token, token_text, walk_link
-from .hasta import (Violation, _chain, analyze_link, check_tables, clock_slew,
-                    hold_check, path_violations, setup_check, slew_violation)
+from .hasta import (FlopPath, Violation, _chain, analyze_link, check_tables,
+                    clock_slew, flop_paths, judge_paths)
 from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
-                      ClockSpec, TechConfig, block_params)
+                      ClockSpec, TechConfig)
 
 
 @dataclass(frozen=True)
@@ -72,8 +61,8 @@ class LinkSpec:
     name: str = "link"
 
     def __post_init__(self):
-        if self.length_slots < 1:
-            raise GnocError(f"length_slots must be >= 1, got {self.length_slots}")
+        if not isinstance(self.length_slots, int) or self.length_slots < 1:
+            raise GnocError(f"length_slots must be an int >= 1, got {self.length_slots!r}")
         self.clock  # ClockSpec checks period > jitter >= 0
 
     @property
@@ -241,14 +230,9 @@ class _SubRun(NamedTuple):
     tokens: tuple[Token, ...]  # after the source, .cb promoted
     text: str                  # the tokens, serialized
     gaps: list[float]          # NOMINAL clock stage delay per buffer gap, in token order
-    judged: bool               # neither chain raised
     setup_error: str | None    # the setup chain's error reason, None when it ran
     hold_error: str | None     # the hold chain's
-    delay_max: float           # setup-pass path delay, summed from 0.0
-    delay_min: float           # hold-pass path delay, summed from 0.0
-    t_su: float                # of the destination
-    t_h: float
-    slews: list                # (source offset, n_wires, slew_out) per SLEW_RANGE finding
+    path: FlopPath | None      # hasta.flop_paths record; None when a chain raised
 
 
 def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
@@ -263,8 +247,8 @@ def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
 
 def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
                      ts: TableSet, cfg: TechConfig) -> _SubRun:
-    """The record of a sub-run.  When a chain raised, its delays and slew
-    findings are empty: a candidate holding the sub-run is refused for the error."""
+    """The record of a sub-run.  When a chain raised it has no path: a
+    candidate holding the sub-run is refused for the error."""
     run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(src_s, dst_s, m, b))),
                                  limit)
     steps, buffers = walk_link(run)
@@ -272,23 +256,12 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
     delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL)
-    slew_max = cfg.slew_legal_max
-    slews = []
-    d_max = d_min = 0.0
-    for (_, _, n_wires, _, at, _), smax, smin in zip(steps, setup, hold):
-        if smax.slew_out > slew_max:
-            slews.append((at, n_wires, smax.slew_out))
-        d_max += smax.delay
-        d_min += smin.delay
+    path = (flop_paths(steps, setup, hold, cfg)[0]
+            if setup_error is None and hold_error is None else None)
     tokens = run.tokens[1:]
-    q = block_params(cfg, tokens[-1][0])
     return _SubRun(tokens, " ".join(map(token_text, tokens)),
                    [delay_of[j - i] for i, j in zip(buffers, buffers[1:])],
-                   setup_error is None and hold_error is None,
-                   setup_error, hold_error, d_max, d_min, q.t_su, q.t_h, slews)
-
-
-_judged = attrgetter("judged")
+                   setup_error, hold_error, path)
 
 
 def _chain_error(runs: list[_SubRun]) -> str:
@@ -298,32 +271,6 @@ def _chain_error(runs: list[_SubRun]) -> str:
     return next(error for error in errors if error is not None)
 
 
-def _judge(runs: list[_SubRun], bounds: list[int], clk: ClockSpec,
-           slew_max: float) -> list[Violation]:
-    """analyze_link's violations of the candidate made of runs, in its order.
-
-    bounds are the candidate's R/S tokens; clock stages are all within T/2.
-    """
-    period, jitter = clk.period, clk.jitter
-    latencies = list(accumulate(chain.from_iterable(run.gaps for run in runs),
-                                initial=0.0))
-    slews = []
-    paths = []
-    launch_buffer = 0
-    for run, launch, capture in zip(runs, bounds, bounds[1:]):
-        for at, n_wires, slew_out in run.slews:
-            slews.append(slew_violation(launch + at, n_wires, slew_out, slew_max))
-        capture_buffer = launch_buffer + len(run.gaps)
-        skew = latencies[capture_buffer] - latencies[launch_buffer]
-        s_slack = setup_check(period, jitter, skew, run.delay_max, run.t_su)
-        h_slack = hold_check(run.delay_min, skew, run.t_h)
-        if s_slack < 0.0 or h_slack < 0.0 or run.delay_max > period:
-            paths += path_violations(launch, capture, s_slack, h_slack,
-                                     run.delay_max, period)
-        launch_buffer = capture_buffer
-    return slews + paths
-
-
 def _link_of(runs: list[_SubRun]) -> LinkSentence:
     """The candidate made of runs, .cb promoted."""
     return LinkSentence(((BlockKind.S, DEFAULT_SUBTYPE),
@@ -331,7 +278,7 @@ def _link_of(runs: list[_SubRun]) -> LinkSentence:
 
 
 def _schedule(M: int, K: int):
-    """The candidates in search order: (R/S tokens, sub-run keys), a key being
+    """The candidates in search order, each as its sub-run keys, a key being
     (source is S, destination is S, slots, buffers)."""
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
@@ -340,7 +287,7 @@ def _schedule(M: int, K: int):
         minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
         ends = [True] + [False] * r + [True]
         for budgets in _budget_vectors(sub_lens, minima):
-            yield bounds, list(zip(ends, ends[1:], sub_lens, budgets))
+            yield list(zip(ends, ends[1:], sub_lens, budgets))
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
@@ -359,7 +306,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
     iterations = 0
     log: list[str] = []
     reasons: list[str] = ["no candidate attempted"]
-    for bounds, keys in _schedule(M, ts.K):
+    for keys in _schedule(M, ts.K):
         iterations += 1
         runs = []
         for key in keys:
@@ -367,10 +314,14 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
                 records[key] = _analyze_sub_run(*key, limit, ts, cfg)
             runs.append(records[key])
         text = "S " + " ".join([run.text for run in runs])
-        if all(map(_judged, runs)):
-            reasons = [_reason(v) for v in _judge(runs, bounds, clk, slew_max)]
-        else:
+        paths = [run.path for run in runs]
+        if None in paths:
             reasons = [_chain_error(runs)]
+        else:
+            latencies = list(accumulate(chain.from_iterable(run.gaps for run in runs),
+                                        initial=0.0))
+            _, found = judge_paths(paths, latencies, clk, slew_max)
+            reasons = [_reason(v) for v in found]
         if not reasons:
             log.append(f"{text} -> valid")
             link = _link_of(runs)

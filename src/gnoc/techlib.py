@@ -233,6 +233,10 @@ def _validate(cfg: TechConfig):
         raise InvalidValue(f"K must be >= 1, got {cfg.K}")
     if cfg.L < 2:
         raise InvalidValue(f"L must be >= 2, got {cfg.L}")
+    for name in ("slew_grid_min", "slew_grid_max", "slew_legal_min", "slew_legal_max",
+                 "derate_min", "derate_max"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise InvalidValue(f"{name} must be finite, got {getattr(cfg, name)}")
     if not cfg.slew_grid_min < cfg.slew_grid_max:
         raise InvalidValue("slew grid requires slew_grid_min < slew_grid_max")
     if not cfg.derate_min <= 1.0 <= cfg.derate_max:
@@ -241,12 +245,13 @@ def _validate(cfg: TechConfig):
     if not cfg.slew_legal_min < cfg.slew_legal_max:
         raise InvalidValue("slew legality range is empty")
     for name in ("pitch_r", "pitch_c", "beta", "cb_surcharge"):
-        if not getattr(cfg, name) >= 0.0:  # NaN fails too
-            raise InvalidValue(f"{name} must be nonnegative")
+        if not 0.0 <= getattr(cfg, name) < math.inf:  # NaN fails too
+            raise InvalidValue(f"{name} must be nonnegative and finite")
     for kind, p in cfg.params.items():
         for fname, fval in vars(p).items():
-            if not fval >= 0.0:
-                raise InvalidValue(f"[kind {kind}] {fname} must be nonnegative, got {fval}")
+            if not 0.0 <= fval < math.inf:
+                raise InvalidValue(f"[kind {kind}] {fname} must be nonnegative "
+                                   f"and finite, got {fval}")
         if kind in ACTIVE_KINDS and not (p.r_drv > 0.0 and p.c_in > 0.0):
             raise InvalidValue(f"[kind {kind}] active kinds need r_drv > 0 and c_in > 0")
     # the clock-stage Elmore delay grows by this much per wire slot (and more
@@ -259,8 +264,8 @@ def _validate(cfg: TechConfig):
             f"pitch_r={cfg.pitch_r} pitch_c={cfg.pitch_c} "
             f"cb_r_drv={cb.cb_r_drv} cb_c_in={cb.cb_c_in}")
     for kind in BlockKind:
-        if not cfg.area_cost.get(kind, -1.0) >= 0.0:
-            raise InvalidValue(f"area_cost for kind {kind} must be nonnegative")
+        if not 0.0 <= cfg.area_cost.get(kind, -1.0) < math.inf:
+            raise InvalidValue(f"area_cost for kind {kind} must be nonnegative and finite")
 
 
 def block_params(cfg: TechConfig, kind: BlockKind) -> BlockParams:

@@ -15,10 +15,10 @@ from gnoc.errors import (GnocError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
                          TableMismatch)
 from gnoc.golden import (Corner, clock_buffer_latencies, golden_clock_analyze,
                          golden_path_analyze)
-from gnoc.grammar import parse_link, segment_decompose, walk_link
+from gnoc.grammar import LinkSentence, parse_link, segment_decompose, walk_link
 from gnoc.hasta import (PathDirection, Violation, ViolationKind, analyze_link,
-                        analyze_path, clock_check, clock_slew,
-                        hold_check, render_report, setup_check)
+                        analyze_path, clock_check, clock_slew, flop_paths,
+                        hold_check, judge_paths, render_report, setup_check)
 from gnoc.techlib import (BlockKind, ClockSpec, default_tech_config,
                           load_tech_config, serialize_tech_config)
 
@@ -392,6 +392,49 @@ def test_analyze_link_agrees_with_clock_oracle(cfg, tables):
                 assert clock == clock_check(link, cfg, clk)
         with pytest.raises(ValueError):
             analyze_link(link, tables, cfg, RELAXED, clock_entry=len(link) // 2)
+
+
+def test_sub_run_paths_judge_as_analyze_link(cfg, tables):
+    """Synthesis's premise: chain each R/S-to-R/S sub-run of a link alone from
+    the clock slew, take its flop_paths record and judge the records end to
+    end with the link's latencies.  That gives analyze_link's paths, and its
+    findings other than clock-stage ones, to the last bit, in every mode and
+    with the clock at either end."""
+    rng = random.Random(1212)
+    cs = clock_slew(cfg)
+    late = ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD
+    clocks = (ClockSpec(period=20.0, jitter=1.0), ClockSpec(period=60.0))
+    kinds, judged = Counter(), 0
+    for _ in range(150):
+        # w_hi = K - 1: no segment is too long, but long runs leave the slew grid
+        link = random_link(rng, rng.randint(1, 16), w_lo=0, w_hi=9, cb_prob=0.2)
+        flops = [i for i, (kind, _) in enumerate(link.tokens)
+                 if kind in (BlockKind.R, BlockKind.S)]
+        _, buffers = walk_link(link)
+        for mode in LookupMode:
+            paths = []
+            try:
+                for a, b in zip(flops, flops[1:]):
+                    steps, _ = walk_link(LinkSentence(link.tokens[a:b + 1]))
+                    setup = hasta._chain(steps, tables, mode, LookupPurpose.SETUP_MAX, cs)
+                    hold = hasta._chain(steps, tables, mode, LookupPurpose.HOLD_MIN, cs)
+                    paths += flop_paths(steps, setup, hold, cfg)
+            except SlewOutOfRange:
+                with pytest.raises(SlewOutOfRange):
+                    analyze_link(link, tables, cfg, RELAXED, mode)
+                continue
+            for entry in (0, len(link) - 1):
+                _, latencies = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL, entry)
+                for clk in clocks:
+                    rep = analyze_link(link, tables, cfg, clk, mode, clock_entry=entry)
+                    checks, found = judge_paths(paths, latencies, clk, cfg.slew_legal_max)
+                    assert checks == list(rep.paths)
+                    assert found == [v for v in rep.violations if v.kind is not late]
+                    kinds.update(v.kind for v in found)
+                    judged += 1
+    assert judged > 1000
+    assert {ViolationKind.SLEW_RANGE, ViolationKind.SETUP,
+            ViolationKind.COMB_GT_PERIOD} <= set(kinds)
 
 
 def test_analyze_link_linear_time(cfg, tables):

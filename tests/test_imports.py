@@ -85,3 +85,36 @@ def test_no_unused_private_functions():
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert len(package) > 1 and tests
     assert unused_private_functions(package, tests) == []
+
+
+# The flop-to-flop path judge: only hasta.py may define or refer to it, so
+# synthesis and analysis keep judging a path with one copy of the code.
+JUDGE = {"setup_check", "hold_check", "path_violations", "slew_violation"}
+
+
+def judge_names_outside_hasta(sources: dict[str, str]) -> list[str]:
+    """'module: name' per path-judge name that a module other than hasta.py
+    defines or refers to."""
+    found = []
+    for module, source in sorted(sources.items()):
+        if module == "hasta.py":
+            continue
+        tree = ast.parse(source)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        found += [f"{module}: {name}" for name in sorted((names_used(tree) | defined) & JUDGE)]
+    return found
+
+
+def test_judge_name_outside_hasta_is_caught():
+    sources = {"hasta.py": "def setup_check(): pass\nsetup_check()\n",
+               "synthesize.py": "from .hasta import hold_check\nhasta.slew_violation()\n",
+               "dse.py": "def path_violations(): pass\n"}
+    assert judge_names_outside_hasta(sources) == [
+        "dse.py: path_violations", "synthesize.py: hold_check",
+        "synthesize.py: slew_violation"]
+
+
+def test_only_hasta_judges_paths():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert "hasta.py" in sources and "synthesize.py" in sources
+    assert judge_names_outside_hasta(sources) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnoc import synthesize
+from gnoc import hasta, synthesize
 from gnoc.characterize import LookupPurpose
 from gnoc.errors import ClockUnsatisfiable, GnocError
 from gnoc.golden import Corner, clock_stage_delay
@@ -85,6 +85,9 @@ def test_spec_validation():
         LinkSpec(length_slots=3, period=10.0, jitter=10.0)
     with pytest.raises(GnocError):
         LinkSpec(length_slots=3, period=math.inf)
+    for length in (2.7, math.nan, "3"):
+        with pytest.raises(GnocError, match="length_slots must be an int"):
+            LinkSpec(length, 100.0)
 
 
 def test_max_clock_run_monotone_in_period(cfg):
@@ -398,11 +401,11 @@ def test_judged_slacks_equal_analyze_link(cfg, tables, monkeypatch):
             return slack
         return wrapped
 
-    monkeypatch.setattr(synthesize, "setup_check",
-                        spy("setup", synthesize.setup_check, 2))
-    monkeypatch.setattr(synthesize, "hold_check", spy("hold", synthesize.hold_check, 1))
+    monkeypatch.setattr(hasta, "setup_check", spy("setup", hasta.setup_check, 2))
+    monkeypatch.setattr(hasta, "hold_check", spy("hold", hasta.hold_check, 1))
     spec = LinkSpec(length_slots=40, period=80.0, jitter=0.5)
     res = synthesize_link(spec, tables, cfg)
+    monkeypatch.undo()  # analyze_link's own checks are not recorded
     assert res.valid and res.counts[2] >= 2
     paths = analyze_link(res.link, tables, cfg, spec.clock).paths
     assert judged["setup"][-len(paths):] == [(p.skew, p.setup_slack) for p in paths]

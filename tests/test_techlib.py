@@ -100,27 +100,32 @@ GLOBAL_KEYS = ("pitch_r", "pitch_c", "beta", "cb_surcharge",
                "cb_d0", "cb_r_drv", "cb_c_in", "cb_s0")
 BLOCK_KEYS = ("d0", "k_sl", "r_drv", "c_in", "s0", "k_sin", "k_sload",
               "d_cq", "t_su", "t_h", "area_cost")
+RANGE_KEYS = ("slew_grid_min", "slew_grid_max", "slew_legal_min", "slew_legal_max",
+              "derate_min", "derate_max")
 
 
-@pytest.mark.parametrize("key", GLOBAL_KEYS + BLOCK_KEYS)
+@pytest.mark.parametrize("key", GLOBAL_KEYS + BLOCK_KEYS + RANGE_KEYS)
 def test_nan_parameter_rejected(cfg, tmp_path, capsys, key):
-    """NaN fails every ordered comparison, so it must not pass as nonnegative;
-    characterize refuses it instead of writing tables that will not load."""
-    head, mark, tail = serialize_tech_config(cfg).partition("[kind R]")
+    """NaN fails every ordered comparison and inf passes `>= 0`, so neither
+    may pass as a parameter; characterize refuses them instead of writing
+    tables that will not load or that hold NaN."""
+    want = "must be finite" if key in RANGE_KEYS else "must be nonnegative"
     line = re.compile(rf"^{key} = .*$", re.M)
-    if key in GLOBAL_KEYS:
-        head, n = line.subn(f"{key} = nan", head, count=1)
-    else:
-        tail, n = line.subn(f"{key} = nan", tail, count=1)
-    assert n == 1
-    with pytest.raises(InvalidValue, match=f"{key}.* must be nonnegative"):
-        load_tech_config(head + mark + tail)
-    tech = tmp_path / "nan.cfg"
-    tech.write_text(head + mark + tail)
-    out = tmp_path / "tables.csv"
-    assert main(["characterize", "--tech", str(tech), "--out", str(out)]) == 2
-    assert "must be nonnegative" in capsys.readouterr().err
-    assert not out.exists()
+    for value in ("nan", "inf"):
+        head, mark, tail = serialize_tech_config(cfg).partition("[kind R]")
+        if key in BLOCK_KEYS:
+            tail, n = line.subn(f"{key} = {value}", tail, count=1)
+        else:
+            head, n = line.subn(f"{key} = {value}", head, count=1)
+        assert n == 1
+        with pytest.raises(InvalidValue, match=f"{key}.* {want}"):
+            load_tech_config(head + mark + tail)
+        tech = tmp_path / f"{value}.cfg"
+        tech.write_text(head + mark + tail)
+        out = tmp_path / "tables.csv"
+        assert main(["characterize", "--tech", str(tech), "--out", str(out)]) == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_required_key():
