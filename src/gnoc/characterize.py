@@ -6,12 +6,14 @@ holding delay and output slew at the MIN and MAX corners.  Building the set
 evaluates the golden oracle once per (pair, row, col) and corner; afterwards
 any segment costs a single lookup.
 
-Each table also keeps, per interval between two adjacent slew rows, the
-constants that a lookup between those rows needs: the interval's width for
-the linear blend and, when L >= 3, the three rows of the quadratic
-reconstruction with their six pairwise differences.  They depend on the
-rows only, so one list serves both corners; the cells themselves are held
-once, in the Grids.  Off the grid, EXACT chaining therefore needs L >= 3.
+A TableView is the one in-memory layout of a table: one pair at one
+purpose's corner, as its slew rows, delay rows, slew-out rows and, per
+interval between two adjacent slew rows, the constants that a lookup between
+those rows needs: the interval's width for the linear blend and, when L >= 3,
+the three rows of the quadratic reconstruction with their six pairwise
+differences.  Those depend on the rows only, so both purposes' views of a
+pair share one rows list and one intervals list.  Building and loading end
+in the same constructor.  Off the grid, EXACT chaining needs L >= 3.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, product
+from typing import NamedTuple
 
 from .errors import (CornerOrderError, DigestMismatch, FormatError,
                      MonotonicityError, NotOnGrid, SegmentTooLong, SlewOutOfRange)
@@ -33,6 +36,9 @@ FILE_MAGIC = "HASTA-TABLES"
 FILE_VERSION = "v1"
 
 TABLE_CORNERS = (Corner.MIN, Corner.MAX)
+
+# the 9 (src, dst) pairs of active kinds, in table file order
+PAIRS = tuple(product(ACTIVE_KINDS, repeat=2))
 
 
 class LookupMode(Enum):
@@ -50,42 +56,16 @@ class LookupPurpose(Enum):
         return Corner.MAX if self is LookupPurpose.SETUP_MAX else Corner.MIN
 
 
-class Grid:
-    """L x K table cells held as L row lists of K floats; grid[i, n] reads one cell."""
+class TableView(NamedTuple):
+    """One table at one purpose's corner: the only in-memory form of a table.
 
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: list):
-        self.cells = cells
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.cells), len(self.cells[0])
-
-    def __getitem__(self, index: tuple[int, int]) -> float:
-        i, n = index
-        return self.cells[i][n]
-
-
-@dataclass
-class SegmentTable:
-    src_kind: BlockKind
-    dst_kind: BlockKind
-    rows: list                                    # L ascending slew grid values
-    delay: dict = field(default_factory=dict)     # Corner -> (L, K) Grid
-    slew_out: dict = field(default_factory=dict)  # Corner -> (L, K) Grid
-
-    def __post_init__(self):
-        # the views share the grids' row lists, so lookups index plain lists;
-        # near bounds the grid-row tolerance (1e-9 relative) over every
-        # in-range slew, so view_lookup rules most off-grid slews out in one
-        # comparison
-        rows = self.rows
-        near = 1e-9 * max(abs(rows[0]), abs(rows[-1]), 1.0)
-        intervals = [_interval(rows, lo) for lo in range(len(rows) - 1)]
-        self._views = {c: (rows, self.delay[c].cells, self.slew_out[c].cells, near,
-                           intervals)
-                       for c in self.delay}
+    Both purposes' views of a pair share one rows list and one intervals list.
+    """
+    rows: list          # L ascending slew grid values
+    delay: list         # L rows of K delays, column n = n intervening wires
+    slew_out: list      # L rows of K output slews
+    near: float         # bound on the grid-row tolerance over every in-range slew
+    intervals: list     # per interval between adjacent rows: see _interval
 
 
 def _interval(rows: list, lo: int) -> tuple:
@@ -106,22 +86,21 @@ def _interval(rows: list, lo: int) -> tuple:
 
 @dataclass(frozen=True)
 class TableSet:
-    tables: dict                 # (src, dst) -> SegmentTable
+    views: dict                  # LookupPurpose -> [src][dst] TableView, like ACTIVE_KINDS
     cfg_digest: str
-    K: int
-    L: int
+
+    @property
+    def K(self) -> int:
+        return len(self.views[LookupPurpose.SETUP_MAX][0][0].delay[0])
+
+    @property
+    def L(self) -> int:
+        return len(self.views[LookupPurpose.SETUP_MAX][0][0].rows)
 
     @property
     def cell_count(self) -> int:
         """Distinct (pair, row, col) cells; each is stored at both corners."""
-        return len(self.tables) * self.L * self.K
-
-    @cached_property
-    def views(self) -> dict:
-        """LookupPurpose -> table_view of every pair, indexed [src][dst] like ACTIVE_KINDS."""
-        return {purpose: [[table_view(self, src, dst, purpose) for dst in ACTIVE_KINDS]
-                          for src in ACTIVE_KINDS]
-                for purpose in LookupPurpose}
+        return len(PAIRS) * self.L * self.K
 
     @cached_property
     def memo(self) -> dict:
@@ -131,6 +110,23 @@ class TableSet:
         """
         return {purpose: [[{} for _ in ACTIVE_KINDS] for _ in ACTIVE_KINDS]
                 for purpose in LookupPurpose}
+
+
+def _table_set(rows_by_pair: dict, cells: dict, digest: str) -> TableSet:
+    """The TableSet over rows_by_pair[pair] and cells[pair, corner] = (delay rows,
+    slew-out rows), for every pair of PAIRS."""
+    views = {purpose: [[None] * len(ACTIVE_KINDS) for _ in ACTIVE_KINDS]
+             for purpose in LookupPurpose}
+    for (s, src), (d, dst) in product(enumerate(ACTIVE_KINDS), repeat=2):
+        rows = rows_by_pair[src, dst]
+        # near bounds the grid-row tolerance (1e-9 relative) over every
+        # in-range slew, so view_lookup rules most off-grid slews out in one
+        # comparison
+        near = 1e-9 * max(abs(rows[0]), abs(rows[-1]), 1.0)
+        intervals = [_interval(rows, lo) for lo in range(len(rows) - 1)]
+        for purpose, grid in views.items():
+            grid[s][d] = TableView(rows, *cells[(src, dst), purpose.corner], near, intervals)
+    return TableSet(views, digest)
 
 
 def slew_grid(cfg: TechConfig) -> list[float]:
@@ -146,16 +142,13 @@ def slew_grid(cfg: TechConfig) -> list[float]:
 def build_tables(cfg: TechConfig) -> TableSet:
     """Characterize all 9 segment types over the full slew x load grid."""
     rows = slew_grid(cfg)
-    tables = {}
-    for src, dst in product(ACTIVE_KINDS, ACTIVE_KINDS):
-        delay, slew = {}, {}
-        for corner in TABLE_CORNERS:
-            cells = [[golden_segment(src, dst, n, s, corner, cfg) for n in range(cfg.K)]
-                     for s in rows]
-            delay[corner] = Grid([[res.delay for res in row] for row in cells])
-            slew[corner] = Grid([[res.slew_out for res in row] for row in cells])
-        tables[(src, dst)] = SegmentTable(src, dst, rows, delay, slew)
-    return TableSet(tables=tables, cfg_digest=cfg.digest(), K=cfg.K, L=cfg.L)
+    cells = {}
+    for (src, dst), corner in product(PAIRS, TABLE_CORNERS):
+        results = [[golden_segment(src, dst, n, s, corner, cfg) for n in range(cfg.K)]
+                   for s in rows]
+        cells[(src, dst), corner] = ([[res.delay for res in row] for row in results],
+                                     [[res.slew_out for res in row] for row in results])
+    return _table_set(dict.fromkeys(PAIRS, rows), cells, cfg.digest())
 
 
 def _fmt(x: float) -> str:
@@ -176,14 +169,13 @@ def _write(ts: TableSet, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["src", "dst", "corner", "row_index", "col_index",
                      "slew_in", "delay", "slew_out"])
-    for (src, dst), table in sorted(ts.tables.items(),
-                                    key=lambda kv: (kv[0][0].value, kv[0][1].value)):
-        for corner in sorted(table.delay, key=lambda c: c.value):
-            for i, (s, delays, slews) in enumerate(zip(table.rows, table.delay[corner].cells,
-                                                       table.slew_out[corner].cells)):
-                for n, (d, so) in enumerate(zip(delays, slews)):
-                    writer.writerow([src.value, dst.value, corner.value, i, n,
-                                     _fmt(s), _fmt(d), _fmt(so)])
+    # PAIRS and then MAX before MIN is the file's sort order
+    for (src, dst), purpose in product(PAIRS, LookupPurpose):
+        view = table_view(ts, src, dst, purpose)
+        for i, (s, delays, slews) in enumerate(zip(view.rows, view.delay, view.slew_out)):
+            for n, (d, so) in enumerate(zip(delays, slews)):
+                writer.writerow([src.value, dst.value, purpose.corner.value, i, n,
+                                 _fmt(s), _fmt(d), _fmt(so)])
 
 
 def load_tables(source, expect_digest: str | None = None) -> TableSet:
@@ -228,6 +220,8 @@ def _read(fh, expect_digest) -> TableSet:
             slew_in, delay, slew_out = map(float, rec[5:8])
         except (ValueError, IndexError) as exc:
             raise FormatError(f"malformed table record {rec!r}") from exc
+        if corner not in TABLE_CORNERS:
+            raise FormatError(f"untabulated corner in table record {rec!r}")
         if not (0 <= i < L and 0 <= n < K):
             raise FormatError(f"cell index out of range in record {rec!r}")
         if not all(map(math.isfinite, (slew_in, delay, slew_out))):
@@ -237,6 +231,8 @@ def _read(fh, expect_digest) -> TableSet:
         delays, slews = data.setdefault((pair, corner),
                                         ([[None] * K for _ in range(L)],
                                          [[None] * K for _ in range(L)]))
+        if delays[i][n] is not None:
+            raise FormatError(f"duplicate table record {rec!r}")
         delays[i][n] = delay
         slews[i][n] = slew_out
         rows = rows_by_pair.setdefault(pair, [None] * L)
@@ -244,40 +240,36 @@ def _read(fh, expect_digest) -> TableSet:
             raise FormatError(f"inconsistent row slew for {src}->{dst} row {i}")
         rows[i] = slew_in
 
-    pairs = set(product(ACTIVE_KINDS, ACTIVE_KINDS))
-    tables = {}
-    for pair in sorted(pairs, key=lambda p: (p[0].value, p[1].value)):
+    for pair in PAIRS:
         rows = rows_by_pair.get(pair)
         if rows is None or None in rows:
             raise FormatError(f"table {pair[0]}->{pair[1]} missing or incomplete")
-        delay, slew = {}, {}
         for corner in TABLE_CORNERS:
             entry = data.get((pair, corner))
             if entry is None or any(None in row for row in entry[0]):
                 raise FormatError(f"table {pair[0]}->{pair[1]} missing corner "
                                   f"{corner.value}")
-            delay[corner], slew[corner] = Grid(entry[0]), Grid(entry[1])
-        tables[pair] = SegmentTable(pair[0], pair[1], rows, delay, slew)
 
-    ts = TableSet(tables=tables, cfg_digest=digest, K=K, L=L)
+    ts = _table_set(rows_by_pair, data, digest)
     validate_tables(ts)
     return ts
 
 
 def validate_tables(ts: TableSet) -> None:
     """Enforce structural invariants: ascending rows, corner order, monotonicity."""
-    for (src, dst), t in ts.tables.items():
+    for src, dst in PAIRS:
         name = f"{src}->{dst}"
-        if not all(a < b for a, b in zip(t.rows, t.rows[1:])):
+        setup, hold = (table_view(ts, src, dst, purpose) for purpose in LookupPurpose)
+        rows = setup.rows
+        if not all(a < b for a, b in zip(rows, rows[1:])):
             raise MonotonicityError(f"{name}: slew rows not strictly ascending")
-        dmin, dmax = t.delay[Corner.MIN].cells, t.delay[Corner.MAX].cells
+        dmin, dmax = hold.delay, setup.delay
         for i, (lo_row, hi_row) in enumerate(zip(dmin, dmax)):
             for n, (lo, hi) in enumerate(zip(lo_row, hi_row)):
                 if hi < lo:
                     raise CornerOrderError(f"{name}: MAX delay < MIN delay at cell "
                                            f"(row {i}, col {n})")
-        for corner in TABLE_CORNERS:
-            d = t.delay[corner].cells
+        for corner, d in zip(TABLE_CORNERS, (dmin, dmax)):
             if any(b < a for r0, r1 in zip(d, d[1:]) for a, b in zip(r0, r1)):
                 raise MonotonicityError(f"{name}/{corner.value}: delay decreases "
                                         f"along slew rows")
@@ -290,17 +282,11 @@ def tables_equal(a: TableSet, b: TableSet, rtol: float = 0.0) -> bool:
     """Structural comparison; rtol > 0 tolerates file-precision rounding."""
     if (a.cfg_digest, a.K, a.L) != (b.cfg_digest, b.K, b.L):
         return False
-    if set(a.tables) != set(b.tables):
-        return False
-    for pair, ta in a.tables.items():
-        tb = b.tables[pair]
-        if not _allclose(ta.rows, tb.rows, rtol):
+    for pair, purpose in product(PAIRS, LookupPurpose):
+        va, vb = table_view(a, *pair, purpose), table_view(b, *pair, purpose)
+        if not _allclose(chain(va.rows, *va.delay, *va.slew_out),
+                         chain(vb.rows, *vb.delay, *vb.slew_out), rtol):
             return False
-        for corner in TABLE_CORNERS:
-            for ga, gb in ((ta.delay[corner], tb.delay[corner]),
-                           (ta.slew_out[corner], tb.slew_out[corner])):
-                if not _allclose(chain(*ga.cells), chain(*gb.cells), rtol):
-                    return False
     return True
 
 
@@ -315,13 +301,12 @@ def _allclose(xs, ys, rtol: float) -> bool:
 
 
 def table_view(ts: TableSet, src: BlockKind, dst: BlockKind,
-               purpose: LookupPurpose) -> tuple[list, list, list, float, list]:
-    """One table at the purpose's corner: (slew rows, delay rows, slew-out
-    rows, near, per-interval constants), the lists shared with the table."""
-    return ts.tables[(src, dst)]._views[purpose.corner]
+               purpose: LookupPurpose) -> TableView:
+    """The (src, dst) table at the purpose's corner."""
+    return ts.views[purpose][ACTIVE_KINDS.index(src)][ACTIVE_KINDS.index(dst)]
 
 
-def view_lookup(view: tuple, n_wires: int, slew_in: float, mode: LookupMode,
+def view_lookup(view: TableView, n_wires: int, slew_in: float, mode: LookupMode,
                 purpose: LookupPurpose,
                 reconstruct: bool = False) -> StageResult:
     """The lookup core behind table_lookup, reconstruct_lookup and link chaining.

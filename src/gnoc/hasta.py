@@ -88,7 +88,10 @@ class PathCheck(NamedTuple):
     skew: float
     setup_slack: float
     hold_slack: float
-    direction: PathDirection
+
+    @property
+    def direction(self) -> PathDirection:
+        return PathDirection.FORWARD if self.skew >= 0.0 else PathDirection.BACKWARD
 
 
 @dataclass(frozen=True)
@@ -196,10 +199,7 @@ def judge_paths(paths: Iterable[FlopPath], latencies: list[float], clk: ClockSpe
         skew = latencies[capture_buffer] - latencies[launch_buffer]
         s_slack = setup_check(period, jitter, skew, d_max, t_su)
         h_slack = hold_check(d_min, skew, t_h)
-        direction = (PathDirection.FORWARD if skew >= 0.0
-                     else PathDirection.BACKWARD)
-        checks.append(PathCheck(launch, capture, d_max, d_min, skew,
-                                s_slack, h_slack, direction))
+        checks.append(PathCheck(launch, capture, d_max, d_min, skew, s_slack, h_slack))
         if s_slack < 0.0 or h_slack < 0.0 or d_max > period:
             found += path_violations(launch, capture, s_slack, h_slack, d_max, period)
         launch, launch_buffer = capture, capture_buffer

@@ -239,8 +239,8 @@ def _validate(cfg: TechConfig):
             raise InvalidValue(f"{name} must be finite, got {getattr(cfg, name)}")
     if not cfg.slew_grid_min < cfg.slew_grid_max:
         raise InvalidValue("slew grid requires slew_grid_min < slew_grid_max")
-    if not cfg.derate_min <= 1.0 <= cfg.derate_max:
-        raise InvalidValue(f"derates must satisfy derate_min <= 1 <= derate_max, "
+    if not 0.0 < cfg.derate_min <= 1.0 <= cfg.derate_max:
+        raise InvalidValue(f"derates must satisfy 0 < derate_min <= 1 <= derate_max, "
                            f"got [{cfg.derate_min}, {cfg.derate_max}]")
     if not cfg.slew_legal_min < cfg.slew_legal_max:
         raise InvalidValue("slew legality range is empty")

@@ -14,8 +14,8 @@ import time
 import pytest
 
 from conftest import random_link
-from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
-                               slew_grid, table_lookup)
+from gnoc.characterize import (PAIRS, LookupMode, LookupPurpose, build_tables,
+                               slew_grid, table_lookup, table_view)
 from gnoc.dse import dse_loop, random_candidates
 from gnoc.errors import ClockUnsatisfiable, GnocError, LexError, GrammarError, SubtypeError
 from gnoc.golden import Corner, golden_path_analyze, golden_segment
@@ -57,9 +57,10 @@ def test_criterion_1_characterization_count(cfg):
     t0 = time.perf_counter()
     ts = build_tables(cfg)
     elapsed = time.perf_counter() - t0
-    ok = (len(ts.tables) == 9 and ts.cell_count == 900 and elapsed < 1.0
-          and all(t.delay[c].shape == (10, 10)
-                  for t in ts.tables.values() for c in (Corner.MIN, Corner.MAX)))
+    views = [table_view(ts, *pair, purpose)
+             for pair, purpose in itertools.product(PAIRS, LookupPurpose)]
+    ok = (len(views) == 18 and ts.cell_count == 900 and elapsed < 1.0
+          and all((len(v.delay), len(v.delay[0])) == (10, 10) for v in views))
     report(1, ok, f"9 tables x 100 cells = {ts.cell_count} cells, "
                   f"2 corners, built in {elapsed * 1e3:.1f} ms (< 1 s)")
 
@@ -69,7 +70,7 @@ def test_criterion_1_characterization_count(cfg):
 def test_criterion_2_exact_grid_accuracy(cfg, tables):
     rows = slew_grid(cfg)
     worst_cell = 0.0
-    for (src, dst) in tables.tables:
+    for (src, dst) in PAIRS:
         for s, n in itertools.product(rows, range(cfg.K)):
             for purpose, corner in ((LookupPurpose.SETUP_MAX, Corner.MAX),
                                     (LookupPurpose.HOLD_MIN, Corner.MIN)):

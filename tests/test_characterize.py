@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ACTIVE
-from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
+from gnoc.characterize import (LookupMode, LookupPurpose, TableView, build_tables,
                                load_tables, reconstruct_lookup, save_tables,
                                slew_grid, table_lookup, table_view, tables_equal,
                                validate_tables)
+from gnoc.cli import main
 from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
                          MonotonicityError, NotOnGrid, SegmentTooLong,
                          SlewOutOfRange)
@@ -36,10 +37,10 @@ def small_cfg(cfg, K=1, L=2):
 
 
 def test_build_default_dimensions(cfg, tables):
-    assert len(tables.tables) == 9
     assert tables.cell_count == 900
-    for t in tables.tables.values():
-        assert t.delay[Corner.MAX].shape == (10, 10)
+    for (src, dst), purpose in product(product(ACTIVE, ACTIVE), LookupPurpose):
+        view = table_view(tables, src, dst, purpose)
+        assert (len(view.delay), len(view.delay[0])) == (10, 10)
 
 
 def test_build_degenerate_dimensions(cfg):
@@ -48,8 +49,8 @@ def test_build_degenerate_dimensions(cfg):
 
 
 def test_known_cell_value(tables):
-    t = tables.tables[(BlockKind.B, BlockKind.B)]
-    assert t.delay[Corner.MAX][0, 2] == pytest.approx(13.97, rel=1e-12)
+    view = table_view(tables, BlockKind.B, BlockKind.B, LookupPurpose.SETUP_MAX)
+    assert view.delay[0][2] == pytest.approx(13.97, rel=1e-12)
 
 
 def test_build_deterministic(cfg):
@@ -86,7 +87,7 @@ def test_tables_equal_tolerance(tables):
     buf = io.StringIO()
     save_tables(tables, buf)
     other = load_tables(io.StringIO(buf.getvalue()))
-    cells = other.tables[(BlockKind.B, BlockKind.R)].delay[Corner.MAX].cells
+    cells = table_view(other, BlockKind.B, BlockKind.R, LookupPurpose.SETUP_MAX).delay
     cells[3][4] *= 1.0 + 1e-12
     assert tables_equal(tables, other, rtol=1e-11)
     assert not tables_equal(tables, other)
@@ -109,6 +110,59 @@ def test_non_finite_record_rejected(tables, column, value):
     with pytest.raises(FormatError) as err:
         load_tables(io.StringIO("\n".join(lines) + "\n"))
     assert "non-finite" in str(err.value) and repr(parts) in str(err.value)
+
+
+def _saved_lines(tables):
+    buf = io.StringIO()
+    save_tables(tables, buf)
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("stray", ["duplicate", "nominal"])
+def test_stray_record_rejected(cfg, tables, tmp_path, capsys, stray):
+    """A second record for a cell, even with another value, and a record at
+    a corner the tables do not hold are refused, naming the record."""
+    lines = _saved_lines(tables)
+    i = next(i for i, line in enumerate(lines) if line.startswith("B,B,max,3,4,"))
+    parts = lines[i].split(",")
+    if stray == "duplicate":
+        parts[6] = repr(float(parts[6]) * (1.0 + 1e-7))
+    else:
+        parts[2] = "nominal"
+    lines.insert(i + 1, ",".join(parts))
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as err:
+        load_tables(io.StringIO(text))
+    assert repr(parts) in str(err.value)
+    tech, path = tmp_path / "tech.cfg", tmp_path / "tables.csv"
+    tech.write_text(serialize_tech_config(cfg))
+    path.write_text(text)
+    assert main(["dse", "--tech", str(tech), "--tables", str(path), "--count", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and repr(parts) in err
+
+
+def test_pairs_may_have_their_own_rows(tables):
+    """A file whose B,B rows sit 0.5 above the other pairs' loads: each pair
+    looks up on its own rows, and both purposes of a pair share them."""
+    lines = _saved_lines(tables)
+    for i, line in enumerate(lines):
+        if line.startswith("B,B,"):
+            parts = line.split(",")
+            parts[5] = repr(float(parts[5]) + 0.5)
+            lines[i] = ",".join(parts)
+    ts = load_tables(io.StringIO("\n".join(lines) + "\n"))
+    B, R = BlockKind.B, BlockKind.R
+    for purpose in LookupPurpose:
+        rows, delay, slew_out, _, _ = table_view(ts, B, B, purpose)
+        assert rows[0] == 4.5 and table_view(ts, B, R, purpose)[0][0] == 4.0
+        assert table_lookup(ts, B, B, 3, 4.5, LookupMode.EXACT, purpose) \
+            == (delay[0][3], slew_out[0][3], False)
+        with pytest.raises(NotOnGrid):
+            table_lookup(ts, B, R, 3, 4.5, LookupMode.EXACT, purpose)
+    for pair in product(ACTIVE, ACTIVE):
+        setup, hold = (table_view(ts, *pair, purpose) for purpose in LookupPurpose)
+        assert hold[0] is setup[0] and hold[4] is setup[4]  # rows, intervals
 
 
 def test_digest_mismatch(tables):
@@ -231,7 +285,7 @@ def test_lookup_below_grid_clamps_with_flag(tables):
 def test_exact_grid_equivalence_all_cells(cfg, tables):
     """Every stored corner cell equals a fresh oracle evaluation to 1e-12."""
     rows = slew_grid(cfg)
-    for (src, dst), table in tables.tables.items():
+    for src, dst in product(ACTIVE, ACTIVE):
         for (i, s), n in product(enumerate(rows), range(cfg.K)):
             for corner, purpose in ((Corner.MIN, LookupPurpose.HOLD_MIN),
                                     (Corner.MAX, LookupPurpose.SETUP_MAX)):
@@ -339,12 +393,9 @@ def tables20(cfg):
 def test_off_grid_lookups_equal_reference_arithmetic(tables, tables20, fine, pair, n,
                                                      purpose, slew):
     tables = tables20 if fine else tables
-    table = tables.tables[pair]
-    rows = table.rows
+    rows, delay, slews, _, _ = table_view(tables, *pair, purpose)
     lo = bisect_left(rows, slew) - 1
     assume(lo >= 0 and min(slew - rows[lo], rows[lo + 1] - slew) > 1e-6)
-    delay = table.delay[purpose.corner].cells
-    slews = table.slew_out[purpose.corner].cells
     d = reference_blend(rows, delay, n, slew, lo)
     got = reconstruct_lookup(tables, *pair, n, slew, purpose)
     assert got == (d, reference_reconstruct_slew(rows, slews, n, slew, lo), False)
@@ -354,22 +405,21 @@ def test_off_grid_lookups_equal_reference_arithmetic(tables, tables20, fine, pai
 
 @pytest.mark.parametrize("source", ["built", "loaded"])
 def test_views_hold_one_copy_of_each_table(tables, source):
-    """Each view's delay and slew-out rows are the Grid cells themselves, and
-    both corners share one per-interval list of constants taken from the rows."""
+    """ts.views holds one TableView per pair and purpose, and both purposes'
+    views of a pair share one rows list and one per-interval list of
+    constants taken from the rows."""
     if source == "loaded":
         buf = io.StringIO()
         save_tables(tables, buf)
         tables = load_tables(io.StringIO(buf.getvalue()))
-    for (src, dst), table in tables.tables.items():
-        rows = table.rows
+    for (s, src), (d, dst) in product(enumerate(ACTIVE), repeat=2):
         views = [table_view(tables, src, dst, purpose) for purpose in LookupPurpose]
         for purpose, view in zip(LookupPurpose, views):
-            assert view[0] is rows
-            assert view[1] is table.delay[purpose.corner].cells
-            assert view[2] is table.slew_out[purpose.corner].cells
-            assert tables.views[purpose][ACTIVE.index(src)][ACTIVE.index(dst)] is view
-        intervals = views[0][4]
-        assert views[1][4] is intervals
+            assert type(view) is TableView
+            assert tables.views[purpose][s][d] is view
+        setup, hold = views
+        assert hold.rows is setup.rows and hold.intervals is setup.intervals
+        rows, intervals = setup.rows, setup.intervals
         assert len(intervals) == tables.L - 1
         for lo, consts in enumerate(intervals):
             assert all(type(x) in (int, float) for x in consts)
@@ -384,13 +434,12 @@ def test_two_row_grid_reconstructs_only_grid_rows(cfg):
     the rows cannot be reconstructed: NotOnGrid, naming the rows it needs."""
     ts = build_tables(with_slew_grid(cfg, 2))
     rows = slew_grid(with_slew_grid(cfg, 2))
-    table = ts.tables[(BlockKind.B, BlockKind.B)]
-    assert table_view(ts, BlockKind.B, BlockKind.B, LookupPurpose.SETUP_MAX)[4] \
+    assert table_view(ts, BlockKind.B, BlockKind.B, LookupPurpose.SETUP_MAX).intervals \
         == [(rows[1] - rows[0],)]
     for purpose, (i, s) in product(LookupPurpose, enumerate(rows)):
+        view = table_view(ts, BlockKind.B, BlockKind.B, purpose)
         res = reconstruct_lookup(ts, BlockKind.B, BlockKind.B, 3, s, purpose)
-        assert res == (table.delay[purpose.corner][i, 3],
-                       table.slew_out[purpose.corner][i, 3], False)
+        assert res == (view.delay[i][3], view.slew_out[i][3], False)
     mid = (rows[0] + rows[1]) / 2
     res = table_lookup(ts, BlockKind.B, BlockKind.B, 3, mid, LookupMode.INTERPOLATE,
                        LookupPurpose.HOLD_MIN)

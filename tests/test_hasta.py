@@ -9,8 +9,8 @@ import pytest
 
 from conftest import corpus, random_link
 from gnoc import hasta
-from gnoc.characterize import (LookupMode, LookupPurpose, build_tables,
-                               reconstruct_lookup, slew_grid, table_lookup)
+from gnoc.characterize import (PAIRS, LookupMode, LookupPurpose, build_tables,
+                               reconstruct_lookup, slew_grid, table_lookup, table_view)
 from gnoc.errors import (GnocError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
                          TableMismatch)
 from gnoc.golden import (Corner, clock_buffer_latencies, golden_clock_analyze,
@@ -559,8 +559,8 @@ def test_memo_bounded_by_tables(cfg):
     bound = cfg.K * (9 * cfg.L * cfg.K + 1)
     assert 0 < max(warm) <= bound
     for purpose in LookupPurpose:
-        cells = {cs}.union(*(chain.from_iterable(t.slew_out[purpose.corner].cells)
-                             for t in ts.tables.values()))
+        cells = {cs}.union(*(chain.from_iterable(table_view(ts, *pair, purpose).slew_out)
+                             for pair in PAIRS))
         for row in ts.memo[purpose]:
             for d in row:
                 assert all(0 <= n < cfg.K and s in cells for n, s in d)

@@ -118,3 +118,21 @@ def test_only_hasta_judges_paths():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert "hasta.py" in sources and "synthesize.py" in sources
     assert judge_names_outside_hasta(sources) == []
+
+
+def test_tracer_names_resolve(monkeypatch):
+    """Every name the benchmark's tracer wraps still exists where it wraps
+    it, and uninstalling puts each original back."""
+    monkeypatch.syspath_prepend(str(TESTS.parent / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._restore)
+        assert patched
+        assert all(getattr(owner, attr).__wrapped__ is original
+                   for owner, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)

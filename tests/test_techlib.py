@@ -79,9 +79,22 @@ def test_omitted_beta_defaults_to_one():
     assert cfg.derate_max == 1.1
 
 
-def test_derate_below_one_rejected():
+def test_derate_below_one_rejected(cfg, tmp_path, capsys):
+    """derate_max below 1 and a derate_min that is not positive are refused;
+    a zero MIN derate made validate divide by zero, a negative one wrote
+    tables that no command could load."""
     with pytest.raises(InvalidValue):
         load_tech_config("derate_max = 0.5\n" + MINIMAL)
+    for value in ("0", "-1"):
+        text = re.sub(r"^derate_min = .*$", f"derate_min = {value}",
+                      serialize_tech_config(cfg), count=1, flags=re.M)
+        with pytest.raises(InvalidValue, match="0 < derate_min"):
+            load_tech_config(text)
+        tech, out = tmp_path / "tech.cfg", tmp_path / "tables.csv"
+        tech.write_text(text)
+        assert main(["characterize", "--tech", str(tech), "--out", str(out)]) == 2
+        assert "0 < derate_min" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_k_below_one_rejected():
