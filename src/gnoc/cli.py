@@ -12,7 +12,7 @@ import sys
 
 from . import characterize as chz
 from . import dse as dse_mod
-from .errors import ClockUnsatisfiable, GnocError, NoValidCandidate
+from .errors import ClockUnsatisfiable, GnocError, InvalidValue, NoValidCandidate
 from .golden import Corner, golden_path_analyze
 from .grammar import parse_link, serialize_link
 from .hasta import LookupMode, LookupPurpose, analyze_link, analyze_path, render_report
@@ -39,6 +39,16 @@ def _read_link(path: str):
         return parse_link(fh.read())
 
 
+def _refuse_unless(ok: bool, option: str, bound: str, value) -> None:
+    if not ok:  # a usage error
+        raise InvalidValue(f"--{option} must be {bound}, got {value}")
+
+
+def _check_launch_slew(slew: float | None) -> None:
+    # NaN passes: the lookups refuse it, like every slew above the grid
+    _refuse_unless(slew is None or not slew < 0.0, "launch-slew", ">= 0", slew)
+
+
 def cmd_characterize(args) -> int:
     cfg = _load_cfg(args.tech)
     ts = chz.build_tables(cfg)
@@ -49,6 +59,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_launch_slew(args.launch_slew)
     cfg = _load_cfg(args.tech)
     ts = _load_tables(args.tables, cfg)
     link = _read_link(args.link)
@@ -80,6 +91,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _check_launch_slew(args.launch_slew)
+    _refuse_unless(args.tol >= 0.0, "tol", ">= 0", args.tol)
     cfg = _load_cfg(args.tech)
     ts = _load_tables(args.tables, cfg)
     link = _read_link(args.link)
@@ -104,6 +117,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dse(args) -> int:
+    _refuse_unless(args.count >= 1, "count", ">= 1", args.count)
     cfg = _load_cfg(args.tech)
     ts = _load_tables(args.tables, cfg)
     if args.candidates:

@@ -2,8 +2,8 @@
 
 A link is a whitespace-separated token sentence over {S, W, B, R}; wires may
 carry a ``.cb`` suffix selecting the clock-buffered sub-type.  A valid
-sentence starts and ends with S and has at least one non-S token between any
-two S tokens.
+sentence starts and ends with S, has at least one segment, and has at least
+one non-S token between any two S tokens.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def parse_link(text: str) -> LinkSentence:
 
     if tokens[0][0] is not BlockKind.S:
         raise GrammarError("token 0: link must start with S", position=0)
+    if len(tokens) == 1:
+        raise GrammarError("token 0: link has no segment", position=0)
     last = len(tokens) - 1
     if tokens[last][0] is not BlockKind.S:
         raise GrammarError(f"token {last}: link must end with S", position=last)

@@ -1,8 +1,8 @@
 """Table-driven link timing analysis: one lookup per segment.
 
 Data delays and slews come from the characterization tables (MAX corner for
-the setup pass, MIN for the hold pass); clock latencies and clock-stage delays
-come from golden.clock_buffer_latencies, the oracle's closed-form clock model.
+the setup pass, MIN for the hold pass); clock-stage delays come from
+golden.clock_buffer_latencies, the oracle's closed-form clock model.
 Flop-to-flop paths between consecutive R/S blocks get setup and hold slacks
 with skew and jitter folded in, plus the four structural checks: slew
 legality, combinational delay vs. the period, and clock-stage half-period
@@ -19,19 +19,19 @@ slews that rarely repeat; they look up directly.
 
 Each analyze_link call walks the link's tokens once (grammar.walk_link),
 collecting the segments and the clock-buffer tokens together, and runs the
-clock model once, per buffer rather than per token: NOMINAL latencies at
-the buffers give the skews.  Clock-stage violations are judged once per
-distinct wire gap at the MAX corner; the stage spans are built, in token
-order, only when some gap is late.
+clock model once, per buffer rather than per token: it yields the NOMINAL
+delay of each clock stage, in token order.  Clock-stage violations are
+judged once per distinct wire gap at the MAX corner; the stage spans are
+built, in token order, only when some gap is late.
 
 Paths are judged in two steps, and synthesis shares both.  flop_paths turns
 the chained stages into one record per flop-to-flop path: (span in tokens,
-clock stages, t_su, t_h, delay_max, delay_min, SLEW_RANGE findings as
-(token offset, n_wires, slew_out)), delays summed from 0.0 in segment
-order.  Every position counts from the path's own launch token and launch
-buffer, so a record does not depend on where the path sits, nor on the
-period.  judge_paths lays records end to end from token 0 and reads skews
-from the clock latencies at their buffers.
+skew, t_su, t_h, delay_max, delay_min, SLEW_RANGE findings as (token
+offset, n_wires, slew_out)), delays summed from 0.0 in segment order.  The
+skew, capture latency less launch latency, sums the path's own NOMINAL
+clock-stage delays from 0.0 in token order, each negated when the clock
+enters at the far end.  Positions count from the path's launch token, so a
+record holds all its verdict needs.  judge_paths lays records end to end.
 """
 
 from __future__ import annotations
@@ -56,9 +56,11 @@ from .grammar import (LinkSentence, Segment, Step, segment_decompose, segment_st
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
 
-# (span in tokens, clock stages, t_su, t_h, delay_max, delay_min,
-#  ((token offset, n_wires, slew_out) per SLEW_RANGE finding)); see flop_paths
-FlopPath = tuple[int, int, float, float, float, float, tuple]
+# (span in tokens, skew, t_su, t_h, delay_max, delay_min, ((token offset,
+#  n_wires, slew_out) per SLEW_RANGE finding)); the skew is the path's own
+#  NOMINAL clock-stage delays summed from 0.0 in token order, each negated
+#  when the clock enters at the far end; see flop_paths
+FlopPath = tuple[int, float, float, float, float, float, tuple]
 
 
 class PathDirection(Enum):
@@ -155,54 +157,54 @@ def path_violations(launch: int, capture: int, setup_slack: float,
 
 
 def flop_paths(steps: list[Step], setup: list[StageResult], hold: list[StageResult],
-               cfg: TechConfig) -> list[FlopPath]:
+               stage_delays: list[float], cfg: TechConfig) -> list[FlopPath]:
     """The flop-to-flop path records of chained stages, one per R or S capture.
 
-    steps are walk_link's, setup and hold the two passes' stages over them.
-    Positions in a record count from its launch token and launch buffer.
+    steps are walk_link's, setup and hold the passes' stages over them, and
+    stage_delays the signed clock-stage delays, in token order.
     """
     params = [block_params(cfg, kind) for kind in ACTIVE_KINDS]
     buffer = ACTIVE_KINDS.index(BlockKind.B)
     slew_max = cfg.slew_legal_max
     paths = []
-    launch, launch_buffer, d_max, d_min, slews = 0, 0, 0.0, 0.0, ()
-    for (_, dst, n_wires, _, at, capture_buffer), smax, smin in zip(steps, setup, hold):
+    launch, stage, d_max, d_min, skew, slews = 0, 0, 0.0, 0.0, 0.0, ()
+    for (_, dst, n_wires, _, at, dst_buffer), smax, smin in zip(steps, setup, hold):
         if smax.slew_out > slew_max:
             slews += ((at - launch, n_wires, smax.slew_out),)
         d_max += smax.delay
         d_min += smin.delay
+        while stage < dst_buffer:  # the clock stages up to the segment's end
+            skew += stage_delays[stage]
+            stage += 1
         if dst == buffer:  # a flop-to-flop path closes at R or S
             continue
         capture = at + n_wires + 1
         q = params[dst]
-        paths.append((capture - launch, capture_buffer - launch_buffer, q.t_su, q.t_h,
-                      d_max, d_min, slews))
-        launch, launch_buffer, d_max, d_min, slews = capture, capture_buffer, 0.0, 0.0, ()
+        paths.append((capture - launch, skew, q.t_su, q.t_h, d_max, d_min, slews))
+        launch, d_max, d_min, skew, slews = capture, 0.0, 0.0, 0.0, ()
     return paths
 
 
-def judge_paths(paths: Iterable[FlopPath], latencies: list[float], clk: ClockSpec,
-                slew_max: float) -> tuple[list[PathCheck], list[Violation]]:
+def judge_paths(paths: Iterable[FlopPath], clk: ClockSpec,
+                slew_max: float) -> tuple[list[tuple], list[Violation]]:
     """Path checks and findings of path records laid end to end from token 0.
 
-    latencies are the NOMINAL clock latencies at the link's buffers, in token
-    order.  The findings are every SLEW_RANGE, then each path's SETUP, HOLD
-    and COMB_GT_PERIOD in path order.
+    A check is a plain tuple of PathCheck's fields.  The findings are every
+    SLEW_RANGE, then each path's SETUP, HOLD and COMB_GT_PERIOD in path order.
     """
     period, jitter = clk.period, clk.jitter
     checks, slews, found = [], [], []
-    launch = launch_buffer = 0
-    for span, stages, t_su, t_h, d_max, d_min, path_slews in paths:
+    launch = 0
+    for span, skew, t_su, t_h, d_max, d_min, path_slews in paths:
         for at, n_wires, slew_out in path_slews:
             slews.append(slew_violation(launch + at, n_wires, slew_out, slew_max))
-        capture, capture_buffer = launch + span, launch_buffer + stages
-        skew = latencies[capture_buffer] - latencies[launch_buffer]
+        capture = launch + span
         s_slack = setup_check(period, jitter, skew, d_max, t_su)
         h_slack = hold_check(d_min, skew, t_h)
-        checks.append(PathCheck(launch, capture, d_max, d_min, skew, s_slack, h_slack))
+        checks.append((launch, capture, d_max, d_min, skew, s_slack, h_slack))
         if s_slack < 0.0 or h_slack < 0.0 or d_max > period:
             found += path_violations(launch, capture, s_slack, h_slack, d_max, period)
-        launch, launch_buffer = capture, capture_buffer
+        launch = capture
     return checks, slews + found
 
 
@@ -308,7 +310,7 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                  clk: ClockSpec, mode: LookupMode = LookupMode.PESSIMISTIC,
                  clock_entry: int = 0,
                  launch_slew: float | None = None) -> TimingReport:
-    """Full link timing: segment lookups, clock latencies, path checks, violations."""
+    """Full link timing: segment lookups, clock stages, path checks, violations."""
     check_tables(ts, cfg)
     steps, buffers = walk_link(link)
     cs = clock_slew(cfg)
@@ -318,14 +320,15 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                           relaunch_slew=cs)
     hold_stages = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN, first_slew,
                          relaunch_slew=cs)
-    delay_of, latencies = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL,
-                                                 clock_entry)
-    paths, violations = judge_paths(flop_paths(steps, setup_stages, hold_stages, cfg),
-                                    latencies, clk, cfg.slew_legal_max)
+    delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL, clock_entry)
+    signed = {n: -d for n, d in delay_of.items()} if clock_entry else delay_of
+    paths = flop_paths(steps, setup_stages, hold_stages,
+                       list(map(signed.__getitem__, map(sub, buffers[1:], buffers))), cfg)
+    checks, violations = judge_paths(paths, clk, cfg.slew_legal_max)
     violations += _clock_violations(buffers, delay_of, cfg, clk)
     return TimingReport(
         link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),
-        hold_stages=tuple(hold_stages), paths=tuple(paths),
+        hold_stages=tuple(hold_stages), paths=tuple(map(PathCheck._make, checks)),
         violations=tuple(violations))
 
 

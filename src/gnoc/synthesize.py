@@ -22,10 +22,10 @@ is S, its destination is S, its slot count, its buffer count); its
 .cb-promoted tokens depend only on the key and the clock-run limit.  Its one
 flop-to-flop path is kept as a hasta.flop_paths record, chained from the
 clock slew as analyze_link relaunches every PESSIMISTIC path, and each
-candidate is judged by hasta.judge_paths, as in analyze_link.  Only the
-latency running sum depends on a sub-run's place, and it is analyze_link's
-sum from 0.0 over the same buffer gaps, so the verdicts equal analyze_link's
-on the whole candidate (is_valid) bit for bit.
+candidate is judged by hasta.judge_paths, as in analyze_link.  A record holds
+everything its verdict needs, its skew included, so a candidate's verdicts
+are its sub-runs' verdicts, and analyze_link's on the whole candidate
+(is_valid), bit for bit by construction.
 
 A record also keeps the error text of each chain that raises.  analyze_link
 chains the whole setup pass before the hold pass, so a candidate holding a
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
@@ -229,7 +229,6 @@ class _SubRun(NamedTuple):
 
     tokens: tuple[Token, ...]  # after the source, .cb promoted
     text: str                  # the tokens, serialized
-    gaps: list[float]          # NOMINAL clock stage delay per buffer gap, in token order
     setup_error: str | None    # the setup chain's error reason, None when it ran
     hold_error: str | None     # the hold chain's
     path: FlopPath | None      # hasta.flop_paths record; None when a chain raised
@@ -256,12 +255,12 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
     delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL)
-    path = (flop_paths(steps, setup, hold, cfg)[0]
+    stage_delays = [delay_of[j - i] for i, j in zip(buffers, buffers[1:])]
+    path = (flop_paths(steps, setup, hold, stage_delays, cfg)[0]
             if setup_error is None and hold_error is None else None)
     tokens = run.tokens[1:]
-    return _SubRun(tokens, " ".join(map(token_text, tokens)),
-                   [delay_of[j - i] for i, j in zip(buffers, buffers[1:])],
-                   setup_error, hold_error, path)
+    return _SubRun(tokens, " ".join(map(token_text, tokens)), setup_error, hold_error,
+                   path)
 
 
 def _chain_error(runs: list[_SubRun]) -> str:
@@ -318,10 +317,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         if None in paths:
             reasons = [_chain_error(runs)]
         else:
-            latencies = list(accumulate(chain.from_iterable(run.gaps for run in runs),
-                                        initial=0.0))
-            _, found = judge_paths(paths, latencies, clk, slew_max)
-            reasons = [_reason(v) for v in found]
+            reasons = [_reason(v) for v in judge_paths(paths, clk, slew_max)[1]]
         if not reasons:
             log.append(f"{text} -> valid")
             link = _link_of(runs)

@@ -121,7 +121,7 @@ class ClockSpec:
 
 
 # Keys accepted at global scope (before any section) with their defaults;
-# None marks a required key.
+# None marks a required key, a key name defaults to that (earlier) key's value.
 _GLOBAL_KEYS = {
     "pitch_r": None,
     "pitch_c": None,
@@ -129,8 +129,8 @@ _GLOBAL_KEYS = {
     "L": None,
     "slew_grid_min": None,
     "slew_grid_max": None,
-    "slew_legal_min": "grid_min",
-    "slew_legal_max": "grid_max",
+    "slew_legal_min": "slew_grid_min",
+    "slew_legal_max": "slew_grid_max",
     "beta": 1.0,
     "derate_min": 0.9,
     "derate_max": 1.1,
@@ -189,12 +189,7 @@ def load_tech_config(text: str) -> TechConfig:
             continue
         if default is None:
             raise MissingKey(f"required global key {key!r} missing")
-        if default == "grid_min":
-            glob[key] = glob["slew_grid_min"]
-        elif default == "grid_max":
-            glob[key] = glob["slew_grid_max"]
-        else:
-            glob[key] = default
+        glob[key] = glob[default] if isinstance(default, str) else default
 
     cb = {k: glob.pop(k) for k in ("cb_d0", "cb_r_drv", "cb_c_in", "cb_s0")}
     params = {}
@@ -207,23 +202,13 @@ def load_tech_config(text: str) -> TechConfig:
             if sec:
                 raise ParseError(f"kind W takes no electrical parameters, got {sorted(sec)}")
             continue
-        for key in _CORE_PARAM_KEYS:
+        for key in _CORE_PARAM_KEYS + (_SEQ_PARAM_KEYS if kind is BlockKind.R else ()):
             if key not in sec:
                 raise MissingKey(f"[kind {kind}] missing required parameter {key!r}")
-        if kind is BlockKind.R:
-            for key in _SEQ_PARAM_KEYS:
-                if key not in sec:
-                    raise MissingKey(f"[kind R] missing required parameter {key!r}")
         params[kind] = BlockParams(**sec, **cb)
 
-    cfg = TechConfig(
-        pitch_r=glob["pitch_r"], pitch_c=glob["pitch_c"],
-        K=glob["K"], L=glob["L"],
-        slew_grid_min=glob["slew_grid_min"], slew_grid_max=glob["slew_grid_max"],
-        slew_legal_min=glob["slew_legal_min"], slew_legal_max=glob["slew_legal_max"],
-        beta=glob["beta"], derate_min=glob["derate_min"], derate_max=glob["derate_max"],
-        cb_surcharge=glob["cb_surcharge"], params=params, area_cost=area_cost,
-    )
+    # the cb_* keys are popped: the rest are TechConfig's scalar fields
+    cfg = TechConfig(**glob, params=params, area_cost=area_cost)
     _validate(cfg)
     return cfg
 

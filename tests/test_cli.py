@@ -83,6 +83,50 @@ def test_analyze_bad_link_file(ws, capsys):
     assert main(["analyze", *args(ws, "--link", link, "--period", "100")]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_one_token_link_is_usage_error(ws, capsys, command):
+    """A sentence with no segment is refused, not reported as empty."""
+    link = write_link(ws, "S", name="one.gnoc")
+    assert main([command, *args(ws, "--link", link, "--period", "100")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: token 0: link has no segment" in captured.err
+
+
+OUT_OF_DOMAIN = [
+    ("analyze", "--launch-slew", "-1e9", "--launch-slew must be >= 0, got -1000000000.0"),
+    ("analyze", "--launch-slew", "-inf", "--launch-slew must be >= 0, got -inf"),
+    ("analyze", "--launch-slew", "inf", "input slew inf above table grid max"),
+    ("validate", "--launch-slew", "-5", "--launch-slew must be >= 0, got -5.0"),
+    ("validate", "--launch-slew", "inf", "input slew inf above table grid max"),
+    ("validate", "--tol", "-1", "--tol must be >= 0, got -1.0"),
+    ("validate", "--tol", "nan", "--tol must be >= 0, got nan"),
+    ("dse", "--count", "-3", "--count must be >= 1, got -3"),
+    ("dse", "--count", "0", "--count must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,option,value,message", OUT_OF_DOMAIN,
+                         ids=[f"{c} {o}={v}" for c, o, v, _ in OUT_OF_DOMAIN])
+def test_number_outside_domain_is_usage_error(ws, capsys, command, option, value,
+                                              message):
+    rest = [] if command == "dse" else [
+        "--link", write_link(ws, "S W W B W W R W W S"), "--period", "100"]
+    assert main([command, *args(ws, *rest, f"{option}={value}")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_launch_slew_below_grid_is_accepted(ws, capsys):
+    """A nonnegative launch slew below the grid still clamps up to row 0."""
+    link = write_link(ws, "S W W B W W S")
+    for slew in ("0", "1.5"):
+        assert main(["analyze", *args(ws, "--link", link, "--period", "100",
+                                      "--launch-slew", slew)]) == 0
+        assert "clamped=1" in capsys.readouterr().out
+
+
 def test_missing_file_is_usage_error(ws, capsys):
     assert main(["analyze", *args(ws, "--link", str(ws / "nope.gnoc"),
                                   "--period", "100")]) == 2

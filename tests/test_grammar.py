@@ -33,6 +33,7 @@ def test_comments_and_whitespace():
 
 @pytest.mark.parametrize("text,exc,pos", [
     ("S S", GrammarError, 1),
+    ("S", GrammarError, 0),
     ("W S", GrammarError, 0),
     ("S W", GrammarError, 1),
     ("", GrammarError, 0),

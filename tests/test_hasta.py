@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import time
 from collections import Counter
 from itertools import chain
@@ -13,8 +14,8 @@ from gnoc.characterize import (PAIRS, LookupMode, LookupPurpose, build_tables,
                                reconstruct_lookup, slew_grid, table_lookup, table_view)
 from gnoc.errors import (GnocError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
                          TableMismatch)
-from gnoc.golden import (Corner, clock_buffer_latencies, golden_clock_analyze,
-                         golden_path_analyze)
+from gnoc.golden import (Corner, clock_buffer_latencies, clock_stage_delay,
+                         golden_clock_analyze, golden_path_analyze)
 from gnoc.grammar import LinkSentence, parse_link, segment_decompose, walk_link
 from gnoc.hasta import (PathDirection, Violation, ViolationKind, analyze_link,
                         analyze_path, clock_check, clock_slew, flop_paths,
@@ -245,7 +246,7 @@ def test_analysis_corpus_pinned(cfg, tables):
     assert kinds[late, False] and kinds[late, True]
     assert kinds[ViolationKind.SETUP, False] and kinds[ViolationKind.SETUP, True]
     assert digest.hexdigest() == (
-        "d8f13890ca8a39a51d11439d4a25c421a91e20062f6019f675fb57d7892455c1")
+        "945e1ca390dd5bf81a2d0256ffb038853af0fe2190c42b8c9babcde819daf7f9")
 
 
 def test_analyze_path_pinned(cfg, tables):
@@ -365,7 +366,10 @@ def test_analyze_link_stages_equal_relaunching_chain(cfg, tables, mode):
 
 def test_analyze_link_agrees_with_clock_oracle(cfg, tables):
     """Segments, paths, skews and clock violations follow segment_decompose
-    and golden_clock_analyze exactly, with the clock at either end."""
+    and golden_clock_analyze exactly, with the clock at either end.  A skew
+    is the sum from 0.0 of the path's own stage delays in token order, each
+    negated when the clock enters at the far end; it equals the latency
+    difference up to rounding."""
     rng = random.Random(57)
     for _ in range(150):
         link = random_link(rng, rng.randint(1, 30), w_lo=2, w_hi=5, cb_prob=0.15)
@@ -373,15 +377,25 @@ def test_analyze_link_agrees_with_clock_oracle(cfg, tables):
                  if kind in (BlockKind.R, BlockKind.S)]
         segments = tuple(segment_decompose(link))
         for entry in (0, len(link) - 1):
-            latencies = golden_clock_analyze(link, cfg, Corner.NOMINAL,
-                                             entry_index=entry).latencies
+            oracle = golden_clock_analyze(link, cfg, Corner.NOMINAL, entry_index=entry)
+            latencies = oracle.latencies
+            sign = -1.0 if entry else 1.0
+            # (first token of the stage, signed delay), in token order
+            stages = sorted((min(span), sign * d)
+                            for span, d in zip(oracle.stage_spans, oracle.stage_delays))
             for clk in (ClockSpec(period=20.0, jitter=1.0), ClockSpec(period=170.0)):
                 rep = analyze_link(link, tables, cfg, clk, clock_entry=entry)
                 assert rep.segments == segments
                 assert [(p.launch_index, p.capture_index) for p in rep.paths] \
                     == list(zip(flops, flops[1:]))
                 for p in rep.paths:
-                    assert p.skew == latencies[p.capture_index] - latencies[p.launch_index]
+                    skew = 0.0
+                    for at, d in stages:
+                        if p.launch_index <= at < p.capture_index:
+                            skew += d
+                    assert p.skew == skew
+                    assert p.skew == pytest.approx(
+                        latencies[p.capture_index] - latencies[p.launch_index])
                     d_max = 0.0
                     for seg, st in zip(segments, rep.setup_stages):
                         if p.launch_index <= seg.src_index < p.capture_index:
@@ -394,11 +408,18 @@ def test_analyze_link_agrees_with_clock_oracle(cfg, tables):
             analyze_link(link, tables, cfg, RELAXED, clock_entry=len(link) // 2)
 
 
+def _shifted(v: Violation, offset: int) -> Violation:
+    """v with every token index in its location moved by offset."""
+    return v._replace(location=re.sub(r"\d+", lambda m: str(int(m[0]) + offset),
+                                      v.location))
+
+
 def test_sub_run_paths_judge_as_analyze_link(cfg, tables):
     """Synthesis's premise: chain each R/S-to-R/S sub-run of a link alone from
-    the clock slew, take its flop_paths record and judge the records end to
-    end with the link's latencies.  That gives analyze_link's paths, and its
-    findings other than clock-stage ones, to the last bit, in every mode and
+    the clock slew, sign its own clock stages for the clock entry, and judge
+    its one flop_paths record alone.  That gives analyze_link's path at the
+    same index, and its findings other than clock-stage ones, to the last bit
+    with locations offset by the sub-run's launch token, in every mode and
     with the clock at either end."""
     rng = random.Random(1212)
     cs = clock_slew(cfg)
@@ -410,27 +431,37 @@ def test_sub_run_paths_judge_as_analyze_link(cfg, tables):
         link = random_link(rng, rng.randint(1, 16), w_lo=0, w_hi=9, cb_prob=0.2)
         flops = [i for i, (kind, _) in enumerate(link.tokens)
                  if kind in (BlockKind.R, BlockKind.S)]
-        _, buffers = walk_link(link)
         for mode in LookupMode:
-            paths = []
+            runs = []
             try:
                 for a, b in zip(flops, flops[1:]):
-                    steps, _ = walk_link(LinkSentence(link.tokens[a:b + 1]))
+                    steps, buffers = walk_link(LinkSentence(link.tokens[a:b + 1]))
                     setup = hasta._chain(steps, tables, mode, LookupPurpose.SETUP_MAX, cs)
                     hold = hasta._chain(steps, tables, mode, LookupPurpose.HOLD_MIN, cs)
-                    paths += flop_paths(steps, setup, hold, cfg)
+                    delays = [clock_stage_delay(j - i - 1, cfg, Corner.NOMINAL)
+                              for i, j in zip(buffers, buffers[1:])]
+                    runs.append((a, steps, setup, hold, delays))
             except SlewOutOfRange:
                 with pytest.raises(SlewOutOfRange):
                     analyze_link(link, tables, cfg, RELAXED, mode)
                 continue
             for entry in (0, len(link) - 1):
-                _, latencies = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL, entry)
+                sign = -1.0 if entry else 1.0
                 for clk in clocks:
                     rep = analyze_link(link, tables, cfg, clk, mode, clock_entry=entry)
-                    checks, found = judge_paths(paths, latencies, clk, cfg.slew_legal_max)
-                    assert checks == list(rep.paths)
-                    assert found == [v for v in rep.violations if v.kind is not late]
-                    kinds.update(v.kind for v in found)
+                    slews, found = [], []
+                    for index, (a, steps, setup, hold, delays) in enumerate(runs):
+                        record = flop_paths(steps, setup, hold,
+                                            [sign * d for d in delays], cfg)
+                        assert len(record) == 1
+                        [(launch, capture, *rest)], run_found = judge_paths(
+                            record, clk, cfg.slew_legal_max)
+                        assert (launch + a, capture + a, *rest) == rep.paths[index]
+                        for v in run_found:
+                            is_slew = v.kind is ViolationKind.SLEW_RANGE
+                            (slews if is_slew else found).append(_shifted(v, a))
+                    assert slews + found == [v for v in rep.violations if v.kind is not late]
+                    kinds.update(v.kind for v in slews + found)
                     judged += 1
     assert judged > 1000
     assert {ViolationKind.SLEW_RANGE, ViolationKind.SETUP,
