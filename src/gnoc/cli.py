@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tech", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--link", required=True)
-    p.add_argument("--period", type=float, default=1000.0)
     p.add_argument("--mode", choices=[m.value for m in LookupMode],
                    default=LookupMode.INTERPOLATE.value)
     p.add_argument("--launch-slew", type=float, default=None)

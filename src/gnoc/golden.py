@@ -5,12 +5,12 @@ linear in input slew and load, and output slew combines the driver slew with
 wire degradation in quadrature.  Deterministic and corner-derated, so it
 doubles as the reference when validating table-based analysis.
 
-The clock model works per buffer, not per token: clock_buffer_latencies
-takes the clock-buffer tokens that grammar.walk_link collects in its one
-walk over a link, evaluates each distinct stage length once and returns the
-latency at each buffer.  golden_clock_analyze expands that to every token
-and lists every stage span; link analysis reads the per-buffer result and
-builds spans only for late stages.
+The clock model works per buffer, not per token: clock_stage_delays takes
+the clock-buffer tokens that grammar.walk_link collects in its one walk over
+a link and evaluates each distinct stage length once.  golden_clock_analyze
+sums those delays into a latency at every token and lists every stage span;
+link analysis reads the stage delays alone and builds spans only for late
+stages.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
 
@@ -133,29 +132,20 @@ def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
     return derate(cfg, corner) * (p.cb_d0 + wire)
 
 
-def clock_buffer_latencies(buffers: list[int], cfg: TechConfig, corner: Corner,
-                           entry_index: int = 0) -> tuple[dict[int, float], list[float]]:
-    """Clock latency at every buffer of a link, from its clock-buffer tokens.
+def clock_stage_delays(buffers: list[int], cfg: TechConfig, corner: Corner,
+                       entry_index: int = 0) -> dict[int, float]:
+    """Delay of each distinct clock stage of a link, by its token distance.
 
-    buffers are clock_buffer_indices(link), in token order.  The clock enters
-    at the first token (entry_index 0) or at the last (len(link) - 1); the
-    stages are then taken in reverse order.  Returns the stage delay per
-    distinct token distance between consecutive buffers (the stage's wire
-    count plus one), each evaluated once, and the latency at each buffer in
-    token order: the running sum of the stage delays before it in
-    propagation order, zero at the entry.
+    buffers are clock_buffer_indices(link), in token order.  A stage's token
+    distance is its wire count plus one; each distinct one is evaluated once.
+    The clock enters at the first token (entry_index 0) or at the last
+    (len(link) - 1), which reverses the propagation order but not the delays;
+    any other entry raises ValueError.
     """
-    distances = list(map(sub, buffers[1:], buffers))
-    far = entry_index == buffers[-1]
-    if far:
-        distances.reverse()
-    elif entry_index != 0:
+    if entry_index not in (0, buffers[-1]):
         raise ValueError(f"clock must enter at a link end, got token {entry_index}")
-    delay_of = {n: clock_stage_delay(n - 1, cfg, corner) for n in set(distances)}
-    latencies = list(accumulate(map(delay_of.__getitem__, distances), initial=0.0))
-    if far:
-        latencies.reverse()
-    return delay_of, latencies
+    return {n: clock_stage_delay(n - 1, cfg, corner)
+            for n in set(map(sub, buffers[1:], buffers))}
 
 
 def golden_clock_analyze(link: LinkSentence, cfg: TechConfig, corner: Corner,
@@ -163,22 +153,24 @@ def golden_clock_analyze(link: LinkSentence, cfg: TechConfig, corner: Corner,
     """Clock latency at every token, for a clock entering at either link end.
 
     A token's latency is the one at its governing buffer, the last buffer at
-    or before it in propagation order (see clock_buffer_latencies).  Stage
-    delays and spans run in propagation order.
+    or before it in propagation order: the running sum of the stage delays
+    before that buffer, zero at the entry.  Stage delays and spans run in
+    propagation order.
     """
     buffers = clock_buffer_indices(link)
-    delay_of, at_buffer = clock_buffer_latencies(buffers, cfg, corner, entry_index)
+    delay_of = clock_stage_delays(buffers, cfg, corner, entry_index)
     far = entry_index != 0
     if far:  # propagation order runs against token order
         buffers.reverse()
-        at_buffer.reverse()
     spans = tuple(zip(buffers, buffers[1:]))
+    stage_delays = tuple(delay_of[abs(b - a)] for a, b in spans)
     latencies = []  # in propagation order
-    for (a, b), lat in zip(spans, at_buffer):
+    lat = 0.0
+    for (a, b), delay in zip(spans, stage_delays):
         latencies += [lat] * abs(b - a)  # the stage's buffer and its wires
-    latencies.append(at_buffer[-1])
+        lat += delay
+    latencies.append(lat)
     if far:
         latencies.reverse()
-    return ClockResult(latencies=tuple(latencies),
-                       stage_delays=tuple(delay_of[abs(b - a)] for a, b in spans),
+    return ClockResult(latencies=tuple(latencies), stage_delays=stage_delays,
                        stage_spans=spans)

@@ -2,7 +2,7 @@
 
 Data delays and slews come from the characterization tables (MAX corner for
 the setup pass, MIN for the hold pass); clock-stage delays come from
-golden.clock_buffer_latencies, the oracle's closed-form clock model.
+golden.clock_stage_delays, the oracle's closed-form clock model.
 Flop-to-flop paths between consecutive R/S blocks get setup and hold slacks
 with skew and jitter folded in, plus the four structural checks: slew
 legality, combinational delay vs. the period, and clock-stage half-period
@@ -15,12 +15,14 @@ slew, so the keys come from a finite set and the memo stays bounded by the
 tables, shared by every analysis and synthesis candidate in a process.  The
 first lookup of a chain starts from the caller's launch slew, which may be
 any value, so it bypasses the memo.  INTERPOLATE and EXACT chain continuous
-slews that rarely repeat; they look up directly.
+slews that rarely repeat; they look up directly.  The TableSet also holds
+synthesis's sub-run records (TableSet.sub_runs), built from this module's
+chains and path records.
 
 Each analyze_link call walks the link's tokens once (grammar.walk_link),
 collecting the segments and the clock-buffer tokens together, and runs the
-clock model once, per buffer rather than per token: it yields the NOMINAL
-delay of each clock stage, in token order.  Clock-stage violations are
+clock model once, per distinct stage length rather than per token: it
+yields the NOMINAL delay of each clock stage.  Clock-stage violations are
 judged once per distinct wire gap at the MAX corner; the stage spans are
 built, in token order, only when some gap is late.
 
@@ -31,7 +33,9 @@ offset, n_wires, slew_out)), delays summed from 0.0 in segment order.  The
 skew, capture latency less launch latency, sums the path's own NOMINAL
 clock-stage delays from 0.0 in token order, each negated when the clock
 enters at the far end.  Positions count from the path's launch token, so a
-record holds all its verdict needs.  judge_paths lays records end to end.
+record holds all its verdict needs.  judge_paths lays records end to end
+from a given launch token, so a record judged alone at its own launch token
+gives the findings it has inside any longer run of records.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .characterize import (LookupMode, LookupPurpose, TableSet,
                            reconstruct_lookup, table_lookup, view_lookup)
 from .errors import TableMismatch
 from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
-                     clock_buffer_latencies, clock_stage_delay)
+                     clock_stage_delay, clock_stage_delays)
 from .grammar import (LinkSentence, Segment, Step, segment_decompose, segment_steps,
                       serialize_link, walk_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
@@ -185,16 +189,16 @@ def flop_paths(steps: list[Step], setup: list[StageResult], hold: list[StageResu
     return paths
 
 
-def judge_paths(paths: Iterable[FlopPath], clk: ClockSpec,
-                slew_max: float) -> tuple[list[tuple], list[Violation]]:
-    """Path checks and findings of path records laid end to end from token 0.
+def judge_paths(paths: Iterable[FlopPath], clk: ClockSpec, slew_max: float,
+                launch: int = 0) -> tuple[list[tuple], list[Violation], list[Violation]]:
+    """Path checks and findings of path records laid end to end from token launch.
 
-    A check is a plain tuple of PathCheck's fields.  The findings are every
-    SLEW_RANGE, then each path's SETUP, HOLD and COMB_GT_PERIOD in path order.
+    A check is a plain tuple of PathCheck's fields.  The findings come as two
+    lists: every SLEW_RANGE, and each path's SETUP, HOLD and COMB_GT_PERIOD
+    in path order.
     """
     period, jitter = clk.period, clk.jitter
     checks, slews, found = [], [], []
-    launch = 0
     for span, skew, t_su, t_h, d_max, d_min, path_slews in paths:
         for at, n_wires, slew_out in path_slews:
             slews.append(slew_violation(launch + at, n_wires, slew_out, slew_max))
@@ -205,7 +209,7 @@ def judge_paths(paths: Iterable[FlopPath], clk: ClockSpec,
         if s_slack < 0.0 or h_slack < 0.0 or d_max > period:
             found += path_violations(launch, capture, s_slack, h_slack, d_max, period)
         launch = capture
-    return checks, slews + found
+    return checks, slews, found
 
 
 def check_tables(ts: TableSet, cfg: TechConfig) -> None:
@@ -320,12 +324,12 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
                           relaunch_slew=cs)
     hold_stages = _chain(steps, ts, mode, LookupPurpose.HOLD_MIN, first_slew,
                          relaunch_slew=cs)
-    delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL, clock_entry)
+    delay_of = clock_stage_delays(buffers, cfg, Corner.NOMINAL, clock_entry)
     signed = {n: -d for n, d in delay_of.items()} if clock_entry else delay_of
     paths = flop_paths(steps, setup_stages, hold_stages,
                        list(map(signed.__getitem__, map(sub, buffers[1:], buffers))), cfg)
-    checks, violations = judge_paths(paths, clk, cfg.slew_legal_max)
-    violations += _clock_violations(buffers, delay_of, cfg, clk)
+    checks, slews, found = judge_paths(paths, clk, cfg.slew_legal_max)
+    violations = slews + found + _clock_violations(buffers, delay_of, cfg, clk)
     return TimingReport(
         link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),
         hold_stages=tuple(hold_stages), paths=tuple(map(PathCheck._make, checks)),

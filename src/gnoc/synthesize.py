@@ -16,22 +16,30 @@ promoted candidate has a clock stage at T/2, since the stage delay grows with
 the slot count.
 
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
-sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
-one synthesize_link call each sub-run is analyzed once, keyed by (its source
-is S, its destination is S, its slot count, its buffer count); its
-.cb-promoted tokens depend only on the key and the clock-run limit.  Its one
-flop-to-flop path is kept as a hasta.flop_paths record, chained from the
-clock slew as analyze_link relaunches every PESSIMISTIC path, and each
-candidate is judged by hasta.judge_paths, as in analyze_link.  A record holds
-everything its verdict needs, its skew included, so a candidate's verdicts
-are its sub-runs' verdicts, and analyze_link's on the whole candidate
-(is_valid), bit for bit by construction.
+sub-run is the wires and buffers between two consecutive R/S blocks.  Each
+sub-run is analyzed once per TableSet, keyed by (its source is S, its
+destination is S, its slot count, its buffer count, the clock-run limit):
+its .cb-promoted tokens depend only on the key, and its timing only on them
+and on the config, which check_tables pins to the tables.  The records live
+in TableSet.sub_runs, next to the lookup memo, so every call on one TableSet
+(a sweep, a DSE loop) shares them.  A record keeps the sub-run's text and its
+one flop-to-flop path as a hasta.flop_paths record, chained from the clock
+slew as analyze_link relaunches every PESSIMISTIC path, and its tokens, one
+shared object per token value.
+
+Inside one call the clock is fixed, so a sub-run's findings depend only on
+its key and its launch token: each such pair is judged once by
+hasta.judge_paths and its reasons are formatted once.  A candidate's reasons
+are all its sub-runs' SLEW_RANGE reasons, then all their path reasons, the
+order judge_paths gives over the whole candidate.  A record holds everything
+its verdict needs, its skew included, so a candidate's verdicts are
+analyze_link's on the whole candidate (is_valid), bit for bit by
+construction.
 
 A record also keeps the error text of each chain that raises.  analyze_link
 chains the whole setup pass before the hold pass, so a candidate holding a
 raising sub-run is refused for the first setup-pass error in sub-run order,
-else the first hold-pass one.  The records are local to the call: nothing
-carries from one call to the next.
+else the first hold-pass one.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
-from .golden import Corner, clock_buffer_latencies, clock_stage_delay
+from .golden import Corner, clock_stage_delay, clock_stage_delays
 from .grammar import LinkSentence, Token, token_text, walk_link
 from .hasta import (FlopPath, Violation, _chain, analyze_link, check_tables,
                     clock_slew, flop_paths, judge_paths)
@@ -133,19 +141,24 @@ def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,
     return _promote_clock_buffers(link, max_clock_run(cfg, spec.period))
 
 
+# one object per token value, shared by every sub-run record
+_TOKEN = {kind: (kind, DEFAULT_SUBTYPE) for kind in BlockKind}
+_CB_WIRE = (BlockKind.W, CB_SUBTYPE)
+
+
 def _promote_clock_buffers(link: LinkSentence, limit: int) -> LinkSentence:
     """assign_clock_subtypes for a known max_clock_run limit."""
     tokens = []
     run = 0
-    for kind, sub in link.tokens:
-        if kind in ACTIVE_KINDS:
-            tokens.append((kind, sub))
+    for token in link.tokens:
+        if token[0] in ACTIVE_KINDS:
+            tokens.append(token)
             run = 0
         elif run + 1 > limit:
-            tokens.append((kind, CB_SUBTYPE))
+            tokens.append(_CB_WIRE)
             run = 0
         else:
-            tokens.append((kind, DEFAULT_SUBTYPE))
+            tokens.append(_TOKEN[BlockKind.W])
             run += 1
     return LinkSentence(tuple(tokens))
 
@@ -176,11 +189,11 @@ def _error_reason(exc: Exception) -> str:
 
 def _sub_run_tokens(src_s: bool, dst_s: bool, m: int, b: int) -> list[Token]:
     """R/S, m slots holding b evenly placed buffers, R/S; no .cb tags."""
-    ends = (BlockKind.R, BlockKind.S)
-    tokens = [(BlockKind.W, DEFAULT_SUBTYPE)] * (m + 2)
-    tokens[0], tokens[-1] = (ends[src_s], DEFAULT_SUBTYPE), (ends[dst_s], DEFAULT_SUBTYPE)
+    ends = (_TOKEN[BlockKind.R], _TOKEN[BlockKind.S])
+    tokens = [_TOKEN[BlockKind.W]] * (m + 2)
+    tokens[0], tokens[-1] = ends[src_s], ends[dst_s]
     for p in insert_evenly(m, b):
-        tokens[p] = (BlockKind.B, DEFAULT_SUBTYPE)
+        tokens[p] = _TOKEN[BlockKind.B]
     return tokens
 
 
@@ -254,13 +267,21 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     cs = clock_slew(cfg)
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
-    delay_of, _ = clock_buffer_latencies(buffers, cfg, Corner.NOMINAL)
+    delay_of = clock_stage_delays(buffers, cfg, Corner.NOMINAL)
     stage_delays = [delay_of[j - i] for i, j in zip(buffers, buffers[1:])]
     path = (flop_paths(steps, setup, hold, stage_delays, cfg)[0]
             if setup_error is None and hold_error is None else None)
     tokens = run.tokens[1:]
     return _SubRun(tokens, " ".join(map(token_text, tokens)), setup_error, hold_error,
                    path)
+
+
+def _verdict(path: FlopPath, launch: int, clk: ClockSpec,
+             slew_max: float) -> tuple[list[str], list[str]]:
+    """The SLEW_RANGE reasons and the path reasons of a sub-run launched at
+    token launch."""
+    _, slews, found = judge_paths([path], clk, slew_max, launch)
+    return [_reason(v) for v in slews], [_reason(v) for v in found]
 
 
 def _chain_error(runs: list[_SubRun]) -> str:
@@ -272,21 +293,21 @@ def _chain_error(runs: list[_SubRun]) -> str:
 
 def _link_of(runs: list[_SubRun]) -> LinkSentence:
     """The candidate made of runs, .cb promoted."""
-    return LinkSentence(((BlockKind.S, DEFAULT_SUBTYPE),
-                         *chain.from_iterable(run.tokens for run in runs)))
+    return LinkSentence((_TOKEN[BlockKind.S], *chain.from_iterable(run.tokens for run in runs)))
 
 
-def _schedule(M: int, K: int):
+def _schedule(M: int, K: int, limit: int):
     """The candidates in search order, each as its sub-run keys, a key being
-    (source is S, destination is S, slots, buffers)."""
+    (source is S, destination is S, slots, buffers, clock-run limit)."""
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
         bounds = [0] + reg_pos + [M + 1]
         sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
         minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
         ends = [True] + [False] * r + [True]
+        limits = [limit] * (r + 1)
         for budgets in _budget_vectors(sub_lens, minima):
-            yield list(zip(ends, ends[1:], sub_lens, budgets))
+            yield list(zip(ends, ends[1:], sub_lens, budgets, limits))
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
@@ -298,26 +319,36 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
                                iterations=0, valid=False,
                                reasons=(f"ClockUnsatisfiable: {exc}",))
-    check_tables(ts, cfg)
+    check_tables(ts, cfg)  # before any record is read: they hold for ts's config
     clk = spec.clock
     slew_max = cfg.slew_legal_max
-    records: dict = {}  # sub-run key -> _SubRun
+    records = ts.sub_runs
+    verdicts: dict = {}  # (sub-run key, launch token) -> _verdict
     iterations = 0
     log: list[str] = []
     reasons: list[str] = ["no candidate attempted"]
-    for keys in _schedule(M, ts.K):
+    for keys in _schedule(M, ts.K, limit):
         iterations += 1
         runs = []
         for key in keys:
-            if key not in records:
-                records[key] = _analyze_sub_run(*key, limit, ts, cfg)
-            runs.append(records[key])
+            run = records.get(key)
+            if run is None:
+                run = records[key] = _analyze_sub_run(*key, ts, cfg)
+            runs.append(run)
         text = "S " + " ".join([run.text for run in runs])
-        paths = [run.path for run in runs]
-        if None in paths:
-            reasons = [_chain_error(runs)]
+        slews, found, launch = [], [], 0
+        for key, run in zip(keys, runs):
+            if run.path is None:
+                reasons = [_chain_error(runs)]
+                break
+            verdict = verdicts.get((key, launch))
+            if verdict is None:
+                verdict = verdicts[key, launch] = _verdict(run.path, launch, clk, slew_max)
+            slews += verdict[0]
+            found += verdict[1]
+            launch += run.path[0]
         else:
-            reasons = [_reason(v) for v in judge_paths(paths, clk, slew_max)[1]]
+            reasons = slews + found
         if not reasons:
             log.append(f"{text} -> valid")
             link = _link_of(runs)

@@ -83,11 +83,16 @@ def test_analyze_bad_link_file(ws, capsys):
     assert main(["analyze", *args(ws, "--link", link, "--period", "100")]) == 2
 
 
+def clock_of(command):
+    """The clock options command takes: validate reads no clock."""
+    return ["--period", "100"] if command == "analyze" else []
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_one_token_link_is_usage_error(ws, capsys, command):
     """A sentence with no segment is refused, not reported as empty."""
     link = write_link(ws, "S", name="one.gnoc")
-    assert main([command, *args(ws, "--link", link, "--period", "100")]) == 2
+    assert main([command, *args(ws, "--link", link, *clock_of(command))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: token 0: link has no segment" in captured.err
@@ -111,7 +116,7 @@ OUT_OF_DOMAIN = [
 def test_number_outside_domain_is_usage_error(ws, capsys, command, option, value,
                                               message):
     rest = [] if command == "dse" else [
-        "--link", write_link(ws, "S W W B W W R W W S"), "--period", "100"]
+        "--link", write_link(ws, "S W W B W W R W W S"), *clock_of(command)]
     assert main([command, *args(ws, *rest, f"{option}={value}")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -135,7 +140,7 @@ def test_missing_file_is_usage_error(ws, capsys):
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_nan_launch_slew_is_usage_error(ws, capsys, command):
     link = write_link(ws, "S W W B W W R W W S")
-    assert main([command, *args(ws, "--link", link, "--period", "100",
+    assert main([command, *args(ws, "--link", link, *clock_of(command),
                                 "--launch-slew", "nan")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -193,6 +198,18 @@ def test_validate_tight_tolerance_fails(ws, capsys):
                                    "--tol", "0")]) == 1
 
 
+def test_validate_period_is_usage_error(ws, capsys):
+    """validate compares arrivals and reads no clock, so --period is refused
+    rather than ignored."""
+    link = write_link(ws, "S W W B W W S")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", *args(ws, "--link", link, "--period", "5")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --period 5" in captured.err
+
+
 def characterize_variant(ws, tmp_path, old, new):
     """A tech config with old replaced by new, and its tables; the args naming both."""
     tech = tmp_path / "variant.cfg"
@@ -208,7 +225,7 @@ def test_exact_on_two_row_grid_is_usage_error(ws, tmp_path, capsys, command):
     variant = characterize_variant(ws, tmp_path, "L = 10", "L = 2")
     capsys.readouterr()
     link = write_link(ws, "S W W B W W B W W S")
-    assert main([command, *variant, "--link", link, "--period", "100",
+    assert main([command, *variant, "--link", link, *clock_of(command),
                  "--mode", "exact"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnoc import hasta, synthesize
-from gnoc.characterize import LookupPurpose
-from gnoc.errors import ClockUnsatisfiable, GnocError
+from gnoc.characterize import LookupPurpose, build_tables
+from gnoc.errors import ClockUnsatisfiable, GnocError, TableMismatch
 from gnoc.golden import Corner, clock_stage_delay
 from gnoc.grammar import LinkSentence, parse_link, serialize_link
 from gnoc.hasta import analyze_link, clock_check
@@ -20,7 +20,8 @@ from gnoc.synthesize import (LinkSpec, SynthesisResult, _assemble,
                              _promote_clock_buffers, _sub_run_tokens,
                              assign_clock_subtypes, insert_evenly, is_valid,
                              link_cost, max_clock_run, synthesize_link)
-from gnoc.techlib import BlockKind, ClockSpec
+from gnoc.techlib import (BlockKind, ClockSpec, load_tech_config,
+                          serialize_tech_config)
 
 from conftest import random_link
 
@@ -224,6 +225,41 @@ def test_synthesis_pinned(cfg, tables):
         "d9bd9a84577fc6552ac3c26e014e113ca43d9913f1c3c2955aa9f61cd36de7da")
 
 
+def corpus_specs():
+    """1,058 specs: lengths 1..34 at five periods with and without jitter,
+    tighter periods on shorter links, five sweeps shaped like the
+    benchmark's (lengths 8..34 by 2 at eight period levels 55..230, each
+    plus a seeded offset below 2 tu), a light sample of short links at
+    loose periods, and periods below the clock floor."""
+    specs = [LinkSpec(length_slots=M, period=T, jitter=jitter) for M in range(1, 35)
+             for T in (60.0, 90.0, 120.0, 177.31, 240.0) for jitter in (0.0, 1.0)]
+    specs += [LinkSpec(length_slots=M, period=45.0) for M in range(1, 29)]
+    specs += [LinkSpec(length_slots=M, period=30.0, jitter=0.5) for M in range(1, 21)]
+    rng = random.Random(16)
+    for _ in range(5):
+        specs += [LinkSpec(length_slots=M,
+                           period=round(55.0 + 25.0 * k + rng.uniform(0.0, 2.0), 2))
+                  for M in range(8, 35, 2) for k in range(8)]
+    specs += [LinkSpec(length_slots=M, period=round(140.0 + 110.0 * (k + rng.random()) / 8, 2))
+              for M in range(8, 21) for k in range(8)]
+    specs += [LinkSpec(length_slots=M, period=T) for M in (1, 17, 34) for T in (9.0, 9.5)]
+    return specs
+
+
+def test_synthesis_corpus_pinned(cfg, tables):
+    """Every SynthesisResult field, log included, over 1,058 specs, on tables
+    that every earlier call shares.  The digest predates the sub-run records
+    kept per TableSet: the search's order, log and results are unchanged by
+    them.  A deliberate change to the search or its log re-pins it."""
+    specs = corpus_specs()
+    assert len(specs) == 1058
+    digest = hashlib.sha256()
+    for spec in specs:
+        digest.update(repr(synthesize_link(spec, tables, cfg)).encode())
+    assert digest.hexdigest() == (
+        "2463777d61ee8e4a1140a1fcc56b3487b89cf3c2e7a9984a623e81ed91be8f42")
+
+
 def schedule(M, K):
     """(register slots, buffer counts) of every candidate, in search order."""
     for r in range(M + 1):
@@ -363,10 +399,20 @@ def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
         assert clock_check(out, cfg, spec.clock) == [], (serialize_link(link), T)
 
 
-def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
+def candidate_keys(M, K, limit, count):
+    """The sub-run keys of the first count candidates of the search, one list
+    per candidate: (source is S, destination is S, slots, buffers, limit)."""
+    for _, sub_lens, budgets in islice(schedule(M, K), count):
+        last = len(sub_lens) - 1
+        yield [(j == 0, j == last, m, b, limit)
+               for j, (m, b) in enumerate(zip(sub_lens, budgets))]
+
+
+def test_sub_runs_analyzed_once_per_call(cfg, monkeypatch):
     """One setup-chain evaluation per distinct sub-run (source, destination,
-    slots, buffers) of the candidates tried; a second identical call repeats
-    them all, so nothing is kept between calls."""
+    slots, buffers, clock-run limit) of the candidates tried, once per
+    TableSet: a second identical call on the same tables runs no chain."""
+    ts = build_tables(cfg)  # its own: the session's tables carry other calls' records
     calls = Counter()
     chain = synthesize._chain
 
@@ -376,40 +422,87 @@ def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
 
     monkeypatch.setattr(synthesize, "_chain", counting_chain)
     spec = LinkSpec(length_slots=30, period=60.0)
-    first = synthesize_link(spec, tables, cfg)
-    keys = set()
-    for _, sub_lens, budgets in islice(schedule(30, tables.K), first.iterations):
-        last = len(sub_lens) - 1
-        keys.update((j == 0, j == last, m, b)
-                    for j, (m, b) in enumerate(zip(sub_lens, budgets)))
+    first = synthesize_link(spec, ts, cfg)
+    keys = set().union(*candidate_keys(30, ts.K, max_clock_run(cfg, 60.0),
+                                       first.iterations))
     assert first.valid and first.counts[2] >= 2 and first.iterations > len(keys)
     assert calls[LookupPurpose.SETUP_MAX] == len(keys)
     calls.clear()
-    assert synthesize_link(spec, tables, cfg) == first
-    assert calls[LookupPurpose.SETUP_MAX] == len(keys)
+    assert synthesize_link(spec, ts, cfg) == first
+    assert calls == Counter()
 
 
-def test_judged_slacks_equal_analyze_link(cfg, tables, monkeypatch):
-    """The winner's skews and slacks, as judged from sub-run records, equal
-    analyze_link's on the whole link to the last bit."""
-    judged = {"setup": [], "hold": []}  # (skew, slack) per call
+def test_sub_run_cache_holds_keys_tried(cfg):
+    """TableSet.sub_runs holds exactly the distinct sub-run keys of the
+    candidates tried, over calls at different clock-run limits."""
+    ts = build_tables(cfg)
+    want = set()
+    for spec in (LinkSpec(length_slots=30, period=60.0),
+                 LinkSpec(length_slots=12, period=20.0, jitter=1.0),
+                 LinkSpec(length_slots=17, period=177.31),
+                 LinkSpec(length_slots=5, period=9.0)):
+        res = synthesize_link(spec, ts, cfg)
+        if res.iterations:
+            limit = max_clock_run(cfg, spec.period)
+            want = want.union(*candidate_keys(spec.length_slots, ts.K, limit,
+                                              res.iterations))
+    assert len({key[-1] for key in want}) == 3
+    assert set(ts.sub_runs) == want
 
-    def spy(name, check, skew_at):
-        def wrapped(*args):
-            slack = check(*args)
-            judged[name].append((args[skew_at], slack))
-            return slack
-        return wrapped
 
-    monkeypatch.setattr(hasta, "setup_check", spy("setup", hasta.setup_check, 2))
-    monkeypatch.setattr(hasta, "hold_check", spy("hold", hasta.hold_check, 1))
+def test_warm_tables_synthesize_as_cold(cfg):
+    """Tables whose records earlier calls filled give the results of fresh
+    tables, logs included: at several clock-run limits, with jitter, with a
+    raising sub-run and at a period no clock stage fits."""
+    specs = [LinkSpec(length_slots=17, period=177.31),
+             LinkSpec(length_slots=17, period=177.31, jitter=2.0),
+             LinkSpec(length_slots=30, period=60.0),
+             LinkSpec(length_slots=30, period=60.0, jitter=1.0),
+             LinkSpec(length_slots=25, period=45.0),
+             LinkSpec(length_slots=12, period=20.0, jitter=0.5),
+             LinkSpec(length_slots=8, period=12.0),
+             LinkSpec(length_slots=34, period=90.0),
+             LinkSpec(length_slots=20, period=240.0, jitter=4.0),
+             LinkSpec(length_slots=5, period=9.0)]
+    cold = [synthesize_link(spec, build_tables(cfg), cfg) for spec in specs]
+    warm = build_tables(cfg)
+    for spec in specs:
+        synthesize_link(spec, warm, cfg)
+    assert [synthesize_link(spec, warm, cfg) for spec in reversed(specs)] == cold[::-1]
+    assert len({max_clock_run(cfg, spec.period) for spec in specs[:-1]}) == 7
+    assert cold[0].log[0].split(" -> ")[1].startswith("SlewOutOfRange: ")
+    assert cold[-1].reasons[0].startswith("ClockUnsatisfiable: ")
+
+
+def test_warm_tables_refuse_other_config(cfg):
+    """Records hold only for the config the tables were built for: tables
+    that hold records still refuse another config."""
+    ts = build_tables(cfg)
+    spec = LinkSpec(length_slots=12, period=60.0)
+    synthesize_link(spec, ts, cfg)
+    assert ts.sub_runs
+    other = load_tech_config(
+        serialize_tech_config(cfg).replace("pitch_r = 1.0", "pitch_r = 2.0"))
+    with pytest.raises(TableMismatch):
+        synthesize_link(spec, ts, other)
+
+
+def test_judged_slacks_equal_analyze_link(cfg, tables):
+    """The winner's path checks, judged from its sub-run records alone, equal
+    analyze_link's on the whole link to the last bit, whichever candidates
+    the records were first analyzed and judged for."""
     spec = LinkSpec(length_slots=40, period=80.0, jitter=0.5)
     res = synthesize_link(spec, tables, cfg)
-    monkeypatch.undo()  # analyze_link's own checks are not recorded
     assert res.valid and res.counts[2] >= 2
-    paths = analyze_link(res.link, tables, cfg, spec.clock).paths
-    assert judged["setup"][-len(paths):] == [(p.skew, p.setup_slack) for p in paths]
-    assert judged["hold"][-len(paths):] == [(p.skew, p.hold_slack) for p in paths]
+    *_, keys = candidate_keys(40, tables.K, max_clock_run(cfg, spec.period),
+                              res.iterations)
+    records = [tables.sub_runs[key] for key in keys]
+    assert "S " + " ".join(run.text for run in records) == serialize_link(res.link)
+    checks, slews, found = hasta.judge_paths([run.path for run in records],
+                                             spec.clock, cfg.slew_legal_max)
+    report = analyze_link(res.link, tables, cfg, spec.clock)
+    assert checks == list(map(tuple, report.paths))
+    assert slews + found == list(report.violations) == []
 
 
 def test_raising_sub_run_needs_no_analyze_link(cfg, tables, monkeypatch):
