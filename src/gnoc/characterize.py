@@ -113,8 +113,8 @@ class TableSet:
 
     @cached_property
     def sub_runs(self) -> dict:
-        """(source is S, destination is S, slots, buffers, clock-run limit) ->
-        synthesis sub-run record.
+        """(source is S, destination is S, slots, buffers, clock-run limit
+        capped at slots) -> synthesis sub-run record.
 
         Filled by synthesize_link; a record depends only on its key and on the
         config these tables were built for, so check_tables runs first.

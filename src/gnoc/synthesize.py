@@ -18,14 +18,16 @@ the slot count.
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
 sub-run is the wires and buffers between two consecutive R/S blocks.  Each
 sub-run is analyzed once per TableSet, keyed by (its source is S, its
-destination is S, its slot count, its buffer count, the clock-run limit):
-its .cb-promoted tokens depend only on the key, and its timing only on them
-and on the config, which check_tables pins to the tables.  The records live
-in TableSet.sub_runs, next to the lookup memo, so every call on one TableSet
-(a sweep, a DSE loop) shares them.  A record keeps the sub-run's text and its
-one flop-to-flop path as a hasta.flop_paths record, chained from the clock
-slew as analyze_link relaunches every PESSIMISTIC path, and its tokens, one
-shared object per token value.
+destination is S, its slot count m, its buffer count, the clock-run limit
+capped at m): its .cb-promoted tokens depend only on the key, and its timing
+only on them and on the config, which check_tables pins to the tables.  The
+records live in TableSet.sub_runs, next to the lookup memo, so later calls
+on one TableSet reuse them.  That pays where specs repeat, as in a DSE loop
+whose candidates share link specs; distinct specs share few sub-runs.  A
+record keeps the sub-run's text and its one flop-to-flop path as a
+hasta.flop_paths record, chained from the clock slew as analyze_link
+relaunches every PESSIMISTIC path, and its tokens, one shared object per
+token value.
 
 Inside one call the clock is fixed, so a sub-run's findings depend only on
 its key and its launch token: each such pair is judged once by
@@ -142,8 +144,8 @@ def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,
 
 
 # one object per token value, shared by every sub-run record
-_TOKEN = {kind: (kind, DEFAULT_SUBTYPE) for kind in BlockKind}
-_CB_WIRE = (BlockKind.W, CB_SUBTYPE)
+_W, _CB_WIRE = (BlockKind.W, DEFAULT_SUBTYPE), (BlockKind.W, CB_SUBTYPE)
+_B, _R, _S = ((kind, DEFAULT_SUBTYPE) for kind in (BlockKind.B, BlockKind.R, BlockKind.S))
 
 
 def _promote_clock_buffers(link: LinkSentence, limit: int) -> LinkSentence:
@@ -158,7 +160,7 @@ def _promote_clock_buffers(link: LinkSentence, limit: int) -> LinkSentence:
             tokens.append(_CB_WIRE)
             run = 0
         else:
-            tokens.append(_TOKEN[BlockKind.W])
+            tokens.append(_W)
             run += 1
     return LinkSentence(tuple(tokens))
 
@@ -189,11 +191,11 @@ def _error_reason(exc: Exception) -> str:
 
 def _sub_run_tokens(src_s: bool, dst_s: bool, m: int, b: int) -> list[Token]:
     """R/S, m slots holding b evenly placed buffers, R/S; no .cb tags."""
-    ends = (_TOKEN[BlockKind.R], _TOKEN[BlockKind.S])
-    tokens = [_TOKEN[BlockKind.W]] * (m + 2)
+    ends = (_R, _S)
+    tokens = [_W] * (m + 2)
     tokens[0], tokens[-1] = ends[src_s], ends[dst_s]
     for p in insert_evenly(m, b):
-        tokens[p] = _TOKEN[BlockKind.B]
+        tokens[p] = _B
     return tokens
 
 
@@ -293,19 +295,21 @@ def _chain_error(runs: list[_SubRun]) -> str:
 
 def _link_of(runs: list[_SubRun]) -> LinkSentence:
     """The candidate made of runs, .cb promoted."""
-    return LinkSentence((_TOKEN[BlockKind.S], *chain.from_iterable(run.tokens for run in runs)))
+    return LinkSentence((_S, *chain.from_iterable(run.tokens for run in runs)))
 
 
 def _schedule(M: int, K: int, limit: int):
     """The candidates in search order, each as its sub-run keys, a key being
-    (source is S, destination is S, slots, buffers, clock-run limit)."""
+    (source is S, destination is S, slots, buffers, clock-run limit).  A run
+    of m slots never reaches a limit of m or more, so its key caps the limit
+    at m and the periods above share one record."""
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
         bounds = [0] + reg_pos + [M + 1]
         sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
         minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
         ends = [True] + [False] * r + [True]
-        limits = [limit] * (r + 1)
+        limits = [min(limit, m) for m in sub_lens]
         for budgets in _budget_vectors(sub_lens, minima):
             yield list(zip(ends, ends[1:], sub_lens, budgets, limits))
 

@@ -401,10 +401,11 @@ def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
 
 def candidate_keys(M, K, limit, count):
     """The sub-run keys of the first count candidates of the search, one list
-    per candidate: (source is S, destination is S, slots, buffers, limit)."""
+    per candidate: (source is S, destination is S, slots, buffers, limit
+    capped at slots)."""
     for _, sub_lens, budgets in islice(schedule(M, K), count):
         last = len(sub_lens) - 1
-        yield [(j == 0, j == last, m, b, limit)
+        yield [(j == 0, j == last, m, b, min(limit, m))
                for j, (m, b) in enumerate(zip(sub_lens, budgets))]
 
 
@@ -448,6 +449,18 @@ def test_sub_run_cache_holds_keys_tried(cfg):
                                               res.iterations))
     assert len({key[-1] for key in want}) == 3
     assert set(ts.sub_runs) == want
+
+
+def test_short_sub_runs_share_records_across_periods(cfg):
+    """A sub-run never reaches a clock-run limit of its slot count or more,
+    so periods whose limits all reach it share its record."""
+    ts = build_tables(cfg)
+    synthesize_link(LinkSpec(length_slots=8, period=120.0), ts, cfg)
+    held = dict(ts.sub_runs)
+    spec = LinkSpec(length_slots=8, period=240.0)
+    assert max_clock_run(cfg, 120.0) == 8 < max_clock_run(cfg, spec.period)
+    assert synthesize_link(spec, ts, cfg) == synthesize_link(spec, build_tables(cfg), cfg)
+    assert ts.sub_runs == held
 
 
 def test_warm_tables_synthesize_as_cold(cfg):
