@@ -111,16 +111,6 @@ class TableSet:
         return {purpose: [[{} for _ in ACTIVE_KINDS] for _ in ACTIVE_KINDS]
                 for purpose in LookupPurpose}
 
-    @cached_property
-    def sub_runs(self) -> dict:
-        """(source is S, destination is S, slots, buffers, clock-run limit
-        capped at slots) -> synthesis sub-run record.
-
-        Filled by synthesize_link; a record depends only on its key and on the
-        config these tables were built for, so check_tables runs first.
-        """
-        return {}
-
 
 def _table_set(rows_by_pair: dict, cells: dict, digest: str) -> TableSet:
     """The TableSet over rows_by_pair[pair] and cells[pair, corner] = (delay rows,

@@ -15,9 +15,7 @@ slew, so the keys come from a finite set and the memo stays bounded by the
 tables, shared by every analysis and synthesis candidate in a process.  The
 first lookup of a chain starts from the caller's launch slew, which may be
 any value, so it bypasses the memo.  INTERPOLATE and EXACT chain continuous
-slews that rarely repeat; they look up directly.  The TableSet also holds
-synthesis's sub-run records (TableSet.sub_runs), built from this module's
-chains and path records.
+slews that rarely repeat; they look up directly.
 
 Each analyze_link call walks the link's tokens once (grammar.walk_link),
 collecting the segments and the clock-buffer tokens together, and runs the

@@ -16,18 +16,14 @@ promoted candidate has a clock stage at T/2, since the stage delay grows with
 the slot count.
 
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
-sub-run is the wires and buffers between two consecutive R/S blocks.  Each
-sub-run is analyzed once per TableSet, keyed by (its source is S, its
-destination is S, its slot count m, its buffer count, the clock-run limit
-capped at m): its .cb-promoted tokens depend only on the key, and its timing
-only on them and on the config, which check_tables pins to the tables.  The
-records live in TableSet.sub_runs, next to the lookup memo, so later calls
-on one TableSet reuse them.  That pays where specs repeat, as in a DSE loop
-whose candidates share link specs; distinct specs share few sub-runs.  A
-record keeps the sub-run's text and its one flop-to-flop path as a
-hasta.flop_paths record, chained from the clock slew as analyze_link
-relaunches every PESSIMISTIC path, and its tokens, one shared object per
-token value.
+sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
+one synthesize_link call each sub-run is analyzed once, keyed by (its source
+is S, its destination is S, its slot count, its buffer count); its
+.cb-promoted tokens depend only on the key and the clock-run limit.  A record
+keeps the sub-run's text and its one flop-to-flop path as a hasta.flop_paths
+record, chained from the clock slew as analyze_link relaunches every
+PESSIMISTIC path, and its tokens, one shared object per token value.  The
+records are local to the call: nothing carries from one call to the next.
 
 Inside one call the clock is fixed, so a sub-run's findings depend only on
 its key and its launch token: each such pair is judged once by
@@ -298,20 +294,17 @@ def _link_of(runs: list[_SubRun]) -> LinkSentence:
     return LinkSentence((_S, *chain.from_iterable(run.tokens for run in runs)))
 
 
-def _schedule(M: int, K: int, limit: int):
+def _schedule(M: int, K: int):
     """The candidates in search order, each as its sub-run keys, a key being
-    (source is S, destination is S, slots, buffers, clock-run limit).  A run
-    of m slots never reaches a limit of m or more, so its key caps the limit
-    at m and the periods above share one record."""
+    (source is S, destination is S, slots, buffers)."""
     for r in range(0, M + 1):
         reg_pos = insert_evenly(M, r)
         bounds = [0] + reg_pos + [M + 1]
         sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
         minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
         ends = [True] + [False] * r + [True]
-        limits = [min(limit, m) for m in sub_lens]
         for budgets in _budget_vectors(sub_lens, minima):
-            yield list(zip(ends, ends[1:], sub_lens, budgets, limits))
+            yield list(zip(ends, ends[1:], sub_lens, budgets))
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
@@ -323,21 +316,21 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
                                iterations=0, valid=False,
                                reasons=(f"ClockUnsatisfiable: {exc}",))
-    check_tables(ts, cfg)  # before any record is read: they hold for ts's config
+    check_tables(ts, cfg)
     clk = spec.clock
     slew_max = cfg.slew_legal_max
-    records = ts.sub_runs
+    records: dict = {}  # sub-run key -> _SubRun
     verdicts: dict = {}  # (sub-run key, launch token) -> _verdict
     iterations = 0
     log: list[str] = []
     reasons: list[str] = ["no candidate attempted"]
-    for keys in _schedule(M, ts.K, limit):
+    for keys in _schedule(M, ts.K):
         iterations += 1
         runs = []
         for key in keys:
             run = records.get(key)
             if run is None:
-                run = records[key] = _analyze_sub_run(*key, ts, cfg)
+                run = records[key] = _analyze_sub_run(*key, limit, ts, cfg)
             runs.append(run)
         text = "S " + " ".join([run.text for run in runs])
         slews, found, launch = [], [], 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnoc import hasta, synthesize
-from gnoc.characterize import LookupPurpose, build_tables
+from gnoc.characterize import LookupPurpose
 from gnoc.errors import ClockUnsatisfiable, GnocError, TableMismatch
 from gnoc.golden import Corner, clock_stage_delay
 from gnoc.grammar import LinkSentence, parse_link, serialize_link
@@ -247,10 +247,10 @@ def corpus_specs():
 
 
 def test_synthesis_corpus_pinned(cfg, tables):
-    """Every SynthesisResult field, log included, over 1,058 specs, on tables
-    that every earlier call shares.  The digest predates the sub-run records
-    kept per TableSet: the search's order, log and results are unchanged by
-    them.  A deliberate change to the search or its log re-pins it."""
+    """Every SynthesisResult field, log included, over 1,058 specs.  The
+    digest predates the per-call verdict reuse: the search's order, log and
+    results are unchanged by it.  A deliberate change to the search or its
+    log re-pins it."""
     specs = corpus_specs()
     assert len(specs) == 1058
     digest = hashlib.sha256()
@@ -399,21 +399,18 @@ def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
         assert clock_check(out, cfg, spec.clock) == [], (serialize_link(link), T)
 
 
-def candidate_keys(M, K, limit, count):
+def candidate_keys(M, K, count):
     """The sub-run keys of the first count candidates of the search, one list
-    per candidate: (source is S, destination is S, slots, buffers, limit
-    capped at slots)."""
+    per candidate: (source is S, destination is S, slots, buffers)."""
     for _, sub_lens, budgets in islice(schedule(M, K), count):
         last = len(sub_lens) - 1
-        yield [(j == 0, j == last, m, b, min(limit, m))
-               for j, (m, b) in enumerate(zip(sub_lens, budgets))]
+        yield [(j == 0, j == last, m, b) for j, (m, b) in enumerate(zip(sub_lens, budgets))]
 
 
-def test_sub_runs_analyzed_once_per_call(cfg, monkeypatch):
+def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
     """One setup-chain evaluation per distinct sub-run (source, destination,
-    slots, buffers, clock-run limit) of the candidates tried, once per
-    TableSet: a second identical call on the same tables runs no chain."""
-    ts = build_tables(cfg)  # its own: the session's tables carry other calls' records
+    slots, buffers) of the candidates tried; a second identical call repeats
+    them all, so nothing is kept between calls."""
     calls = Counter()
     chain = synthesize._chain
 
@@ -423,93 +420,32 @@ def test_sub_runs_analyzed_once_per_call(cfg, monkeypatch):
 
     monkeypatch.setattr(synthesize, "_chain", counting_chain)
     spec = LinkSpec(length_slots=30, period=60.0)
-    first = synthesize_link(spec, ts, cfg)
-    keys = set().union(*candidate_keys(30, ts.K, max_clock_run(cfg, 60.0),
-                                       first.iterations))
+    first = synthesize_link(spec, tables, cfg)
+    keys = set().union(*candidate_keys(30, tables.K, first.iterations))
     assert first.valid and first.counts[2] >= 2 and first.iterations > len(keys)
     assert calls[LookupPurpose.SETUP_MAX] == len(keys)
     calls.clear()
-    assert synthesize_link(spec, ts, cfg) == first
-    assert calls == Counter()
+    assert synthesize_link(spec, tables, cfg) == first
+    assert calls[LookupPurpose.SETUP_MAX] == len(keys)
 
 
-def test_sub_run_cache_holds_keys_tried(cfg):
-    """TableSet.sub_runs holds exactly the distinct sub-run keys of the
-    candidates tried, over calls at different clock-run limits."""
-    ts = build_tables(cfg)
-    want = set()
-    for spec in (LinkSpec(length_slots=30, period=60.0),
-                 LinkSpec(length_slots=12, period=20.0, jitter=1.0),
-                 LinkSpec(length_slots=17, period=177.31),
-                 LinkSpec(length_slots=5, period=9.0)):
-        res = synthesize_link(spec, ts, cfg)
-        if res.iterations:
-            limit = max_clock_run(cfg, spec.period)
-            want = want.union(*candidate_keys(spec.length_slots, ts.K, limit,
-                                              res.iterations))
-    assert len({key[-1] for key in want}) == 3
-    assert set(ts.sub_runs) == want
-
-
-def test_short_sub_runs_share_records_across_periods(cfg):
-    """A sub-run never reaches a clock-run limit of its slot count or more,
-    so periods whose limits all reach it share its record."""
-    ts = build_tables(cfg)
-    synthesize_link(LinkSpec(length_slots=8, period=120.0), ts, cfg)
-    held = dict(ts.sub_runs)
-    spec = LinkSpec(length_slots=8, period=240.0)
-    assert max_clock_run(cfg, 120.0) == 8 < max_clock_run(cfg, spec.period)
-    assert synthesize_link(spec, ts, cfg) == synthesize_link(spec, build_tables(cfg), cfg)
-    assert ts.sub_runs == held
-
-
-def test_warm_tables_synthesize_as_cold(cfg):
-    """Tables whose records earlier calls filled give the results of fresh
-    tables, logs included: at several clock-run limits, with jitter, with a
-    raising sub-run and at a period no clock stage fits."""
-    specs = [LinkSpec(length_slots=17, period=177.31),
-             LinkSpec(length_slots=17, period=177.31, jitter=2.0),
-             LinkSpec(length_slots=30, period=60.0),
-             LinkSpec(length_slots=30, period=60.0, jitter=1.0),
-             LinkSpec(length_slots=25, period=45.0),
-             LinkSpec(length_slots=12, period=20.0, jitter=0.5),
-             LinkSpec(length_slots=8, period=12.0),
-             LinkSpec(length_slots=34, period=90.0),
-             LinkSpec(length_slots=20, period=240.0, jitter=4.0),
-             LinkSpec(length_slots=5, period=9.0)]
-    cold = [synthesize_link(spec, build_tables(cfg), cfg) for spec in specs]
-    warm = build_tables(cfg)
-    for spec in specs:
-        synthesize_link(spec, warm, cfg)
-    assert [synthesize_link(spec, warm, cfg) for spec in reversed(specs)] == cold[::-1]
-    assert len({max_clock_run(cfg, spec.period) for spec in specs[:-1]}) == 7
-    assert cold[0].log[0].split(" -> ")[1].startswith("SlewOutOfRange: ")
-    assert cold[-1].reasons[0].startswith("ClockUnsatisfiable: ")
-
-
-def test_warm_tables_refuse_other_config(cfg):
-    """Records hold only for the config the tables were built for: tables
-    that hold records still refuse another config."""
-    ts = build_tables(cfg)
-    spec = LinkSpec(length_slots=12, period=60.0)
-    synthesize_link(spec, ts, cfg)
-    assert ts.sub_runs
+def test_synthesize_refuses_other_config(cfg, tables):
+    """Tables built for one config refuse another before any candidate."""
     other = load_tech_config(
         serialize_tech_config(cfg).replace("pitch_r = 1.0", "pitch_r = 2.0"))
     with pytest.raises(TableMismatch):
-        synthesize_link(spec, ts, other)
+        synthesize_link(LinkSpec(length_slots=12, period=60.0), tables, other)
 
 
 def test_judged_slacks_equal_analyze_link(cfg, tables):
     """The winner's path checks, judged from its sub-run records alone, equal
-    analyze_link's on the whole link to the last bit, whichever candidates
-    the records were first analyzed and judged for."""
+    analyze_link's on the whole link to the last bit."""
     spec = LinkSpec(length_slots=40, period=80.0, jitter=0.5)
     res = synthesize_link(spec, tables, cfg)
     assert res.valid and res.counts[2] >= 2
-    *_, keys = candidate_keys(40, tables.K, max_clock_run(cfg, spec.period),
-                              res.iterations)
-    records = [tables.sub_runs[key] for key in keys]
+    *_, keys = candidate_keys(40, tables.K, res.iterations)
+    limit = max_clock_run(cfg, spec.period)
+    records = [synthesize._analyze_sub_run(*key, limit, tables, cfg) for key in keys]
     assert "S " + " ".join(run.text for run in records) == serialize_link(res.link)
     checks, slews, found = hasta.judge_paths([run.path for run in records],
                                              spec.clock, cfg.slew_legal_max)
