@@ -40,6 +40,9 @@ TABLE_CORNERS = (Corner.MIN, Corner.MAX)
 # the 9 (src, dst) pairs of active kinds, in table file order
 PAIRS = tuple(product(ACTIVE_KINDS, repeat=2))
 
+# the table file's column header, after its one-line file header
+COLUMNS = "src,dst,corner,row_index,col_index,slew_in,delay,slew_out"
+
 
 class LookupMode(Enum):
     EXACT = "exact"
@@ -151,10 +154,6 @@ def build_tables(cfg: TechConfig) -> TableSet:
     return _table_set(dict.fromkeys(PAIRS, rows), cells, cfg.digest())
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def save_tables(ts: TableSet, destination) -> None:
     """Write the table file (text stream or path)."""
     if hasattr(destination, "write"):
@@ -165,17 +164,16 @@ def save_tables(ts: TableSet, destination) -> None:
 
 
 def _write(ts: TableSet, fh) -> None:
-    fh.write(f"{FILE_MAGIC} {FILE_VERSION} cfg={ts.cfg_digest} K={ts.K} L={ts.L}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["src", "dst", "corner", "row_index", "col_index",
-                     "slew_in", "delay", "slew_out"])
+    lines = [f"{FILE_MAGIC} {FILE_VERSION} cfg={ts.cfg_digest} K={ts.K} L={ts.L}\n",
+             f"{COLUMNS}\n"]
     # PAIRS and then MAX before MIN is the file's sort order
     for (src, dst), purpose in product(PAIRS, LookupPurpose):
         view = table_view(ts, src, dst, purpose)
+        table = f"{src.value},{dst.value},{purpose.corner.value}"
         for i, (s, delays, slews) in enumerate(zip(view.rows, view.delay, view.slew_out)):
             for n, (d, so) in enumerate(zip(delays, slews)):
-                writer.writerow([src.value, dst.value, purpose.corner.value, i, n,
-                                 _fmt(s), _fmt(d), _fmt(so)])
+                lines.append(f"{table},{i},{n},{s:.12g},{d:.12g},{so:.12g}\n")
+    fh.write("".join(lines))
 
 
 def load_tables(source, expect_digest: str | None = None) -> TableSet:
@@ -204,40 +202,48 @@ def _read(fh, expect_digest) -> TableSet:
 
     reader = csv.reader(fh)
     head = next(reader, None)
-    if head != ["src", "dst", "corner", "row_index", "col_index",
-                "slew_in", "delay", "slew_out"]:
+    if head != COLUMNS.split(","):
         raise FormatError(f"bad CSV column header {head!r}")
 
     rows_by_pair: dict = {}
     data: dict = {}
+    # (src, dst, corner) as written -> (pair, delay rows, slew-out rows, slew rows),
+    # so the kinds and the corner are resolved and checked once per table
+    tables: dict = {}
     for rec in reader:
         if not rec:
             continue
         try:
-            src, dst = BlockKind(rec[0]), BlockKind(rec[1])
-            corner = Corner(rec[2])
+            key = rec[0], rec[1], rec[2]
+            table = tables.get(key)
+            if table is None:
+                src, dst, corner = BlockKind(rec[0]), BlockKind(rec[1]), Corner(rec[2])
             i, n = int(rec[3]), int(rec[4])
-            slew_in, delay, slew_out = map(float, rec[5:8])
+            slew_in, delay, slew_out = map(float, rec[5:])
         except (ValueError, IndexError) as exc:
             raise FormatError(f"malformed table record {rec!r}") from exc
-        if corner not in TABLE_CORNERS:
-            raise FormatError(f"untabulated corner in table record {rec!r}")
+        if table is None:
+            if corner not in TABLE_CORNERS:
+                raise FormatError(f"untabulated corner in table record {rec!r}")
+            if src not in ACTIVE_KINDS or dst not in ACTIVE_KINDS:
+                raise FormatError(f"passive block kind in table record {rec!r}")
+            pair = (src, dst)
+            # None marks a cell or row no record has filled yet
+            grids = data[pair, corner] = ([[None] * K for _ in range(L)],
+                                          [[None] * K for _ in range(L)])
+            table = tables[key] = (
+                pair, *grids, rows_by_pair.setdefault(pair, [None] * L))
         if not (0 <= i < L and 0 <= n < K):
             raise FormatError(f"cell index out of range in record {rec!r}")
-        if not all(map(math.isfinite, (slew_in, delay, slew_out))):
+        if not (math.isfinite(slew_in) and math.isfinite(delay) and math.isfinite(slew_out)):
             raise FormatError(f"non-finite value in table record {rec!r}")
-        pair = (src, dst)
-        # None marks a cell or row no record has filled yet
-        delays, slews = data.setdefault((pair, corner),
-                                        ([[None] * K for _ in range(L)],
-                                         [[None] * K for _ in range(L)]))
+        pair, delays, slews, rows = table
         if delays[i][n] is not None:
             raise FormatError(f"duplicate table record {rec!r}")
         delays[i][n] = delay
         slews[i][n] = slew_out
-        rows = rows_by_pair.setdefault(pair, [None] * L)
         if rows[i] is not None and rows[i] != slew_in:
-            raise FormatError(f"inconsistent row slew for {src}->{dst} row {i}")
+            raise FormatError(f"inconsistent row slew for {pair[0]}->{pair[1]} row {i}")
         rows[i] = slew_in
 
     for pair in PAIRS:

@@ -3,6 +3,10 @@
 Reports go to stdout, diagnostics to stderr.  Exit status: 0 clean, 1 when
 violations or validation failures were found (reports are still complete),
 2 for usage/format errors, 3 for internal failures.
+
+Each command imports the layers it runs: characterize needs no link
+analysis, analyze and validate no synthesis, synthesize no DSE.  Commands
+call the layers' functions through their home modules.
 """
 
 from __future__ import annotations
@@ -11,13 +15,10 @@ import argparse
 import sys
 
 from . import characterize as chz
-from . import dse as dse_mod
+from . import grammar, techlib
+from .characterize import LookupMode, LookupPurpose
 from .errors import ClockUnsatisfiable, GnocError, InvalidValue, NoValidCandidate
 from .golden import Corner, golden_path_analyze
-from .grammar import parse_link, serialize_link
-from .hasta import LookupMode, LookupPurpose, analyze_link, analyze_path, render_report
-from .synthesize import LinkSpec, synthesize_link
-from .techlib import ClockSpec, load_tech_config
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -27,7 +28,7 @@ EXIT_INTERNAL = 3
 
 def _load_cfg(path: str):
     with open(path) as fh:
-        return load_tech_config(fh.read())
+        return techlib.load_tech_config(fh.read())
 
 
 def _load_tables(path: str, cfg):
@@ -36,7 +37,7 @@ def _load_tables(path: str, cfg):
 
 def _read_link(path: str):
     with open(path) as fh:
-        return parse_link(fh.read())
+        return grammar.parse_link(fh.read())
 
 
 def _refuse_unless(ok: bool, option: str, bound: str, value) -> None:
@@ -59,38 +60,41 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import hasta
     _check_launch_slew(args.launch_slew)
     cfg = _load_cfg(args.tech)
     ts = _load_tables(args.tables, cfg)
     link = _read_link(args.link)
-    clk = ClockSpec(period=args.period, jitter=args.jitter)
-    report = analyze_link(link, ts, cfg, clk, mode=LookupMode(args.mode),
-                          launch_slew=args.launch_slew)
-    sys.stdout.write(render_report(report))
+    clk = techlib.ClockSpec(period=args.period, jitter=args.jitter)
+    report = hasta.analyze_link(link, ts, cfg, clk, mode=LookupMode(args.mode),
+                                launch_slew=args.launch_slew)
+    sys.stdout.write(hasta.render_report(report))
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
 def cmd_synthesize(args) -> int:
+    from . import synthesize
     cfg = _load_cfg(args.tech)
     ts = _load_tables(args.tables, cfg)
-    spec = LinkSpec(length_slots=args.length, period=args.period,
-                    jitter=args.jitter)
-    result = synthesize_link(spec, ts, cfg)
+    spec = synthesize.LinkSpec(length_slots=args.length, period=args.period,
+                               jitter=args.jitter)
+    result = synthesize.synthesize_link(spec, ts, cfg)
     for line in result.log:
         print(f"try: {line}")
     if not result.valid:
         print(f"unsynthesizable: {'; '.join(result.reasons)}")
         return EXIT_VIOLATIONS
     with open(args.out, "w") as fh:
-        fh.write(serialize_link(result.link) + "\n")
+        fh.write(grammar.serialize_link(result.link) + "\n")
     w, b, r = result.counts
-    print(f"result: {serialize_link(result.link)}")
+    print(f"result: {grammar.serialize_link(result.link)}")
     print(f"cost={result.cost:.6g} W={w} B={b} R={r} "
           f"iterations={result.iterations}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
+    from . import hasta
     _check_launch_slew(args.launch_slew)
     _refuse_unless(args.tol >= 0.0, "tol", ">= 0", args.tol)
     cfg = _load_cfg(args.tech)
@@ -105,7 +109,7 @@ def cmd_validate(args) -> int:
     worst = 0.0
     for purpose, corner, label in ((LookupPurpose.SETUP_MAX, Corner.MAX, "setup"),
                                    (LookupPurpose.HOLD_MIN, Corner.MIN, "hold")):
-        table_side = analyze_path(link, ts, slew, mode, purpose)
+        table_side = hasta.analyze_path(link, ts, slew, mode, purpose)
         golden_side = golden_path_analyze(link, slew, corner, cfg)
         for i, (t, g) in enumerate(zip(table_side.arrivals, golden_side.arrivals)):
             err = (t - g) / g
@@ -117,15 +121,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dse(args) -> int:
+    from . import dse
     _refuse_unless(args.count >= 1, "count", ">= 1", args.count)
     cfg = _load_cfg(args.tech)
     ts = _load_tables(args.tables, cfg)
     if args.candidates:
         with open(args.candidates) as fh:
-            candidates = dse_mod.parse_candidates(fh.read())
+            candidates = dse.parse_candidates(fh.read())
     else:
-        candidates = dse_mod.random_candidates(args.seed, args.count)
-    result = dse_mod.dse_loop(candidates, ts, cfg)
+        candidates = dse.random_candidates(args.seed, args.count)
+    result = dse.dse_loop(candidates, ts, cfg)
     print("name,valid,cost,detail")
     for ev in result.ledger:
         detail = "" if ev.valid else "; ".join(ev.reasons)
@@ -200,6 +205,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - internal invariant failures
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def __getattr__(name: str):
+    # gnoc's public names, such as analyze_link, resolve here from their home
+    # modules: perfbench's tracer wraps them on this module as well
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 
 from .errors import InvalidValue, MissingKey, ParseError
 
@@ -281,6 +280,7 @@ def serialize_tech_config(cfg: TechConfig) -> str:
 
 def default_tech_config() -> TechConfig:
     """The config shipped with the package (K = L = 10, unit pitch RC)."""
+    from importlib import resources  # only this reads package data
     text = resources.files("gnoc.data").joinpath("default_tech.cfg").read_text()
     return load_tech_config(text)
 

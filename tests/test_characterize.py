@@ -109,7 +109,8 @@ def test_non_finite_record_rejected(tables, column, value):
             break
     with pytest.raises(FormatError) as err:
         load_tables(io.StringIO("\n".join(lines) + "\n"))
-    assert "non-finite" in str(err.value) and repr(parts) in str(err.value)
+    assert type(err.value) is FormatError
+    assert str(err.value) == f"non-finite value in table record {parts!r}"
 
 
 def _saved_lines(tables):
@@ -118,28 +119,128 @@ def _saved_lines(tables):
     return buf.getvalue().splitlines()
 
 
-@pytest.mark.parametrize("stray", ["duplicate", "nominal"])
+# stray record -> the start of its refusal, which then names the record
+STRAY = {"duplicate": "duplicate table record",
+         "nominal": "untabulated corner in table record",
+         "passive": "passive block kind in table record"}
+
+
+@pytest.mark.parametrize("stray", list(STRAY))
 def test_stray_record_rejected(cfg, tables, tmp_path, capsys, stray):
-    """A second record for a cell, even with another value, and a record at
-    a corner the tables do not hold are refused, naming the record."""
+    """A second record for a cell, even with another value, a record at a
+    corner the tables do not hold and a record of a passive kind's table are
+    refused, naming the record."""
     lines = _saved_lines(tables)
     i = next(i for i, line in enumerate(lines) if line.startswith("B,B,max,3,4,"))
     parts = lines[i].split(",")
     if stray == "duplicate":
         parts[6] = repr(float(parts[6]) * (1.0 + 1e-7))
-    else:
+    elif stray == "nominal":
         parts[2] = "nominal"
+    else:
+        parts[0] = "W"
     lines.insert(i + 1, ",".join(parts))
     text = "\n".join(lines) + "\n"
     with pytest.raises(FormatError) as err:
         load_tables(io.StringIO(text))
-    assert repr(parts) in str(err.value)
+    assert type(err.value) is FormatError
+    assert str(err.value) == f"{STRAY[stray]} {parts!r}"
     tech, path = tmp_path / "tech.cfg", tmp_path / "tables.csv"
     tech.write_text(serialize_tech_config(cfg))
     path.write_text(text)
     assert main(["dse", "--tech", str(tech), "--tables", str(path), "--count", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and repr(parts) in err
+
+
+def _edit_record(lines, field, value):
+    """Set one field of the B,B,max row 3 col 4 record (None deletes it); its fields
+    after the edit."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("B,B,max,3,4,"))
+    parts = lines[i].split(",")
+    if value is None:
+        del parts[field]
+    else:
+        parts[field] = value
+    lines[i] = ",".join(parts)
+    return parts
+
+
+def _append_field(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("B,B,max,3,4,"))
+    lines[i] += ",1.0"
+    return lines[i].split(",")
+
+
+def _drop_lines(prefix):
+    def drop(lines):
+        lines[:] = [line for line in lines if not line.startswith(prefix)]
+    return drop
+
+
+def _set_column_header(text):
+    def edit(lines):
+        lines[1:] = [] if text is None else [text, *lines[2:]]
+    return edit
+
+
+# case -> (edit of the saved default file's lines, message; {rec} stands for
+# the repr of the fields that the edit returns).  Every refusal is a FormatError.
+# Non-finite values, duplicates, the nominal corner and inserted passive-kind
+# records are the cases of the two tests above.
+REFUSALS = {
+    "unknown src": (lambda lines: _edit_record(lines, 0, "X"),
+                    "malformed table record {rec}"),
+    "unknown dst": (lambda lines: _edit_record(lines, 1, "b"),
+                    "malformed table record {rec}"),
+    "unknown corner": (lambda lines: _edit_record(lines, 2, "typ"),
+                       "malformed table record {rec}"),
+    "passive dst": (lambda lines: _edit_record(lines, 1, "W"),
+                    "passive block kind in table record {rec}"),
+    "row not an integer": (lambda lines: _edit_record(lines, 3, "3.0"),
+                           "malformed table record {rec}"),
+    "row above range": (lambda lines: _edit_record(lines, 3, "10"),
+                        "cell index out of range in record {rec}"),
+    "row below range": (lambda lines: _edit_record(lines, 3, "-1"),
+                        "cell index out of range in record {rec}"),
+    "col not an integer": (lambda lines: _edit_record(lines, 4, "four"),
+                           "malformed table record {rec}"),
+    "col above range": (lambda lines: _edit_record(lines, 4, "10"),
+                        "cell index out of range in record {rec}"),
+    "slew not a number": (lambda lines: _edit_record(lines, 5, "fast"),
+                          "malformed table record {rec}"),
+    "inconsistent row slew": (lambda lines: _edit_record(lines, 5, "16.5"),
+                              "inconsistent row slew for B->B row 3"),
+    "short record": (lambda lines: _edit_record(lines, 7, None),
+                     "malformed table record {rec}"),
+    "extra field": (_append_field, "malformed table record {rec}"),
+    "missing record": (_drop_lines("B,B,max,3,4,"), "table B->B missing corner max"),
+    "missing pair": (_drop_lines("B,R,"), "table B->R missing or incomplete"),
+    "missing corner": (_drop_lines("B,R,min,"), "table B->R missing corner min"),
+    "bad column header": (_set_column_header("src,dst,corner,row,col,slew_in,delay,slew_out"),
+                          "bad CSV column header ['src', 'dst', 'corner', 'row', 'col', "
+                          "'slew_in', 'delay', 'slew_out']"),
+    "no column header": (_set_column_header(None), "bad CSV column header None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_table_file_refusal_pinned(tables, case):
+    """A mutated saved file is refused with a FormatError and this message."""
+    edit, message = REFUSALS[case]
+    lines = _saved_lines(tables)
+    rec = edit(lines)
+    with pytest.raises(FormatError) as err:
+        load_tables(io.StringIO("\n".join(lines) + "\n"))
+    assert type(err.value) is FormatError
+    assert str(err.value) == message.format(rec=rec)
+
+
+def test_blank_lines_are_skipped(tables):
+    lines = _saved_lines(tables)
+    lines[5:5] = ["", ""]
+    assert tables_equal(load_tables(io.StringIO("\n".join(lines) + "\n\n")), tables,
+                        rtol=1e-11)
 
 
 def test_pairs_may_have_their_own_rows(tables):

@@ -170,6 +170,40 @@ def test_cli_runs_without_numpy(ws, tmp_path):
     assert out.read_bytes() == (ws / "tables.csv").read_bytes()
 
 
+# the gnoc modules loaded after one command in a fresh interpreter
+BASE = {"gnoc", "gnoc.cli", "gnoc.characterize", "gnoc.errors", "gnoc.golden",
+        "gnoc.grammar", "gnoc.techlib"}
+ANALYSIS = BASE | {"gnoc.hasta"}
+SYNTHESIS = ANALYSIS | {"gnoc.synthesize"}
+LOADED = {"characterize": BASE, "analyze": ANALYSIS, "validate": ANALYSIS,
+          "synthesize": SYNTHESIS, "dse": SYNTHESIS | {"gnoc.dse"}}
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_command_loads_only_its_layers(ws, tmp_path, command):
+    link = write_link(ws, "S W W B W W R W W S", name="layers.gnoc")
+    argv = {"characterize": ["--tech", str(ws / "tech.cfg"),
+                             "--out", str(tmp_path / "t.csv")],
+            "analyze": args(ws, "--link", link, "--period", "100"),
+            "validate": args(ws, "--link", link),
+            "synthesize": args(ws, "--length", "10", "--period", "100",
+                               "--out", str(tmp_path / "s.gnoc")),
+            "dse": args(ws, "--count", "2")}[command]
+    script = (
+        "import sys\n"
+        "from gnoc.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('rc', rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'gnoc'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, command, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()[1:]
+    assert rc == "0"
+    assert set(loaded) == LOADED[command]
+
+
 def test_tables_digest_mismatch(ws, tmp_path, capsys):
     text = (ws / "tech.cfg").read_text().replace("pitch_r = 1.0",
                                                  "pitch_r = 2.0")

@@ -1,10 +1,14 @@
-"""Every name a gnoc module imports is used in that module, and every
-top-level private function of gnoc is referred to somewhere."""
+"""Every name a gnoc module imports is used in that module, every
+top-level private function of gnoc is referred to somewhere, and gnoc's
+public names resolve to their home modules' objects."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import gnoc
+import gnoc.cli
 
 PACKAGE = Path(gnoc.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -136,3 +140,23 @@ def test_tracer_names_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_package_exports_resolve_to_home_modules():
+    """`from gnoc import name` gives the object its home module binds, and
+    gnoc.cli's name hook resolves the same name to it.  (The hook is called
+    directly: uninstalling the tracer leaves a binding in gnoc.cli.)"""
+    assert len(gnoc.__all__) == len(set(gnoc.__all__)) > 1
+    for name in gnoc.__all__:
+        namespace = {}
+        exec(f"from gnoc import {name}", namespace)
+        home = namespace[name].__module__
+        assert home.startswith("gnoc.") and home != "gnoc.cli", name
+        assert namespace[name] is getattr(__import__(home, fromlist=[name]), name)
+        assert gnoc.cli.__getattr__(name) is namespace[name]
+
+
+@pytest.mark.parametrize("module", [gnoc, gnoc.cli])
+def test_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
