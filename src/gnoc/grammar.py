@@ -40,6 +40,11 @@ class Segment(NamedTuple):
     dst_index: int
 
 
+# the token of each word a sentence may hold
+_TOKENS = {kind._value_: (kind, DEFAULT_SUBTYPE) for kind in BlockKind}
+_TOKENS["W.cb"] = (BlockKind.W, CB_SUBTYPE)
+
+
 def parse_link(text: str) -> LinkSentence:
     """Parse sentence text; raises LexError / GrammarError / SubtypeError."""
     words = []
@@ -50,20 +55,16 @@ def parse_link(text: str) -> LinkSentence:
 
     tokens: list[Token] = []
     for pos, word in enumerate(words):
-        base, dot, suffix = word.partition(".")
-        try:
-            kind = BlockKind(base)
-        except ValueError:
-            raise LexError(f"token {pos}: unknown token {word!r}", position=pos) from None
-        if not dot:
-            tokens.append((kind, DEFAULT_SUBTYPE))
-            continue
-        if suffix != "cb":
-            raise LexError(f"token {pos}: unknown suffix {word!r}", position=pos)
-        if kind is not BlockKind.W:
+        token = _TOKENS.get(word)
+        if token is None:
+            base, _, suffix = word.partition(".")
+            if base not in _TOKENS:
+                raise LexError(f"token {pos}: unknown token {word!r}", position=pos)
+            if suffix != "cb":
+                raise LexError(f"token {pos}: unknown suffix {word!r}", position=pos)
             raise SubtypeError(f"token {pos}: .cb is only valid on W, got {word!r}",
                                position=pos)
-        tokens.append((kind, CB_SUBTYPE))
+        tokens.append(token)
 
     if tokens[0][0] is not BlockKind.S:
         raise GrammarError("token 0: link must start with S", position=0)
@@ -79,15 +80,11 @@ def parse_link(text: str) -> LinkSentence:
     return LinkSentence(tuple(tokens))
 
 
-def token_text(token: Token) -> str:
-    kind, sub = token
-    # _value_ skips Enum.value's descriptor, which dominated serialization
-    return kind._value_ + ".cb" if sub.clock_buffered else kind._value_
-
-
 def serialize_link(link: LinkSentence) -> str:
     """Canonical single-space serialization; inverse of parse_link."""
-    return " ".join(map(token_text, link.tokens))
+    # _value_ skips Enum.value's descriptor, which dominated serialization
+    return " ".join(kind._value_ + ".cb" if sub.clock_buffered else kind._value_
+                    for kind, sub in link.tokens)
 
 
 def walk_link(link: LinkSentence) -> tuple[list[Step], list[int]]:

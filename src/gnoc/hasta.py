@@ -12,9 +12,9 @@ PESSIMISTIC lookups are memoized per TableSet (TableSet.memo): per purpose
 and (src, dst) pair, a dict keyed (n_wires, slew_in).  In that mode every
 chained slew is a table slew_out cell and every relaunch slew is the clock
 slew, so the keys come from a finite set and the memo stays bounded by the
-tables, shared by every analysis and synthesis candidate in a process.  The
-first lookup of a chain starts from the caller's launch slew, which may be
-any value, so it bypasses the memo.  INTERPOLATE and EXACT chain continuous
+tables, shared by every analysis and synthesis candidate in a process.  A
+chain's first lookup, from the caller's launch slew, reads the memo only
+when that slew is the clock slew.  INTERPOLATE and EXACT chain continuous
 slews that rarely repeat; they look up directly.
 
 Each analyze_link call walks the link's tokens once (grammar.walk_link),
@@ -232,13 +232,13 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
     relaunches from the clock edge.  In EXACT mode chained slews, which drift
     off the grid, are served by the quantization-free table reconstruction.
 
-    In PESSIMISTIC mode every lookup after the first reads through ts.memo,
-    keyed (n_wires, slew_in) per purpose and pair.  Its slew is a table
-    slew_out cell or relaunch_slew (the clock slew), so at most
-    K * (9 * L * K + 1) keys per pair and purpose arise; the first lookup's
-    arbitrary launch slew never enters.  Errors are not stored, so they
-    raise on every call.  INTERPOLATE and EXACT slews are continuous and
-    seldom repeat, so those modes look up directly.
+    In PESSIMISTIC mode every lookup reads through ts.memo, keyed (n_wires,
+    slew_in) per purpose and pair, except a first one whose launch_slew
+    differs from relaunch_slew (the clock slew).  Each slew read is then a table
+    slew_out cell or the clock slew, so at most K * (9 * L * K + 1) keys per
+    pair and purpose arise.  Errors are not stored, so they raise on every
+    call.  INTERPOLATE and EXACT slews are continuous and seldom repeat, so
+    those modes look up directly.
     """
     views = ts.views[purpose]
     memo = ts.memo[purpose] if mode is LookupMode.PESSIMISTIC else None
@@ -249,7 +249,7 @@ def _chain(steps: list, ts: TableSet, mode: LookupMode, purpose: LookupPurpose,
     for src, dst, n_wires, sequential, _, _ in steps:
         if chained and sequential and relaunch_slew is not None:
             slew, chained = relaunch_slew, False
-        if memo is not None and stages:
+        if memo is not None and (stages or slew == relaunch_slew):
             cell, key = memo[src][dst], (n_wires, slew)
             stage = cell.get(key)
             if stage is None:

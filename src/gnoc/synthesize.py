@@ -18,39 +18,34 @@ the slot count.
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
 sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
 one synthesize_link call each sub-run is analyzed once, keyed by (its source
-is S, its destination is S, its slot count, its buffer count); its
-.cb-promoted tokens depend only on the key and the clock-run limit.  A record
-keeps the sub-run's text and its one flop-to-flop path as a hasta.flop_paths
-record, chained from the clock slew as analyze_link relaunches every
-PESSIMISTIC path, and its tokens, one shared object per token value.  The
-records are local to the call: nothing carries from one call to the next.
+is S, its destination is S, its slot count, its buffer count).  Its record is
+built from its block positions, with no tokens: a segment of n wires holds
+k, rest = divmod(n, limit + 1) W.cb, so its steps, clock stages and text
+follow by arithmetic.  A record keeps the text, and each raising chain's
+error or else the one flop-to-flop path as a hasta.flop_paths record, chained
+from the clock slew as analyze_link relaunches every PESSIMISTIC path.  The
+winner is parse_link of its text.  Records and stage delays are per call.
 
-Inside one call the clock is fixed, so a sub-run's findings depend only on
-its key and its launch token: each such pair is judged once by
-hasta.judge_paths and its reasons are formatted once.  A candidate's reasons
-are all its sub-runs' SLEW_RANGE reasons, then all their path reasons, the
-order judge_paths gives over the whole candidate.  A record holds everything
-its verdict needs, its skew included, so a candidate's verdicts are
-analyze_link's on the whole candidate (is_valid), bit for bit by
-construction.
-
-A record also keeps the error text of each chain that raises.  analyze_link
-chains the whole setup pass before the hold pass, so a candidate holding a
-raising sub-run is refused for the first setup-pass error in sub-run order,
-else the first hold-pass one.
+The clock is fixed inside a call, so each (sub-run key, launch token) is
+judged once by hasta.judge_paths and its reasons are formatted once.  A
+candidate's reasons are all its sub-runs' SLEW_RANGE reasons, then all their
+path reasons: the order judge_paths gives over the whole candidate.  A record
+holds all its verdict needs, skew included, so the verdicts are is_valid's
+bit for bit.  analyze_link chains the whole setup pass before the hold pass,
+so a candidate holding a raising sub-run is refused for the first setup-pass
+error in sub-run order, else the first hold-pass one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
-from .golden import Corner, clock_stage_delay, clock_stage_delays
-from .grammar import LinkSentence, Token, token_text, walk_link
+from .golden import Corner, clock_stage_delay
+from .grammar import LinkSentence, Step, Token, parse_link
 from .hasta import (FlopPath, Violation, _chain, analyze_link, check_tables,
                     clock_slew, flop_paths, judge_paths)
 from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
@@ -139,7 +134,6 @@ def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,
     return _promote_clock_buffers(link, max_clock_run(cfg, spec.period))
 
 
-# one object per token value, shared by every sub-run record
 _W, _CB_WIRE = (BlockKind.W, DEFAULT_SUBTYPE), (BlockKind.W, CB_SUBTYPE)
 _B, _R, _S = ((kind, DEFAULT_SUBTYPE) for kind in (BlockKind.B, BlockKind.R, BlockKind.S))
 
@@ -168,8 +162,7 @@ def is_valid(link: LinkSentence, spec: LinkSpec, ts: TableSet,
         return False, [f"token count {len(link)} does not match "
                        f"{spec.length_slots} slots"]
     try:
-        report = analyze_link(link, ts, cfg, spec.clock,
-                              mode=LookupMode.PESSIMISTIC)
+        report = analyze_link(link, ts, cfg, spec.clock, mode=LookupMode.PESSIMISTIC)
     except (SegmentTooLong, SlewOutOfRange) as exc:
         return False, [_error_reason(exc)]
     if report.violations:
@@ -187,9 +180,7 @@ def _error_reason(exc: Exception) -> str:
 
 def _sub_run_tokens(src_s: bool, dst_s: bool, m: int, b: int) -> list[Token]:
     """R/S, m slots holding b evenly placed buffers, R/S; no .cb tags."""
-    ends = (_R, _S)
-    tokens = [_W] * (m + 2)
-    tokens[0], tokens[-1] = ends[src_s], ends[dst_s]
+    tokens = [(_R, _S)[src_s], *[_W] * m, (_R, _S)[dst_s]]
     for p in insert_evenly(m, b):
         tokens[p] = _B
     return tokens
@@ -207,9 +198,7 @@ def _assemble(M: int, reg_pos: list[int], budgets: tuple[int, ...]) -> LinkSente
 
 def _budget_vectors(bounds: list[int], minima: list[int]):
     """Yield buffer-count vectors in increasing total order, lexicographic within."""
-    lo = sum(minima)
-    hi = sum(bounds)
-    for total in range(lo, hi + 1):
+    for total in range(sum(minima), sum(bounds) + 1):
         yield from _compositions(total, bounds, minima, 0)
 
 
@@ -238,11 +227,35 @@ def _min_buffers_for_gap(m: int, K: int) -> int:
 class _SubRun(NamedTuple):
     """What a candidate reads of one of its sub-runs, wherever the sub-run sits."""
 
-    tokens: tuple[Token, ...]  # after the source, .cb promoted
-    text: str                  # the tokens, serialized
+    text: str                  # its tokens after the source, .cb promoted
     setup_error: str | None    # the setup chain's error reason, None when it ran
     hold_error: str | None     # the hold chain's
     path: FlopPath | None      # hasta.flop_paths record; None when a chain raised
+
+
+_B_INDEX, *_END_INDEX = map(ACTIVE_KINDS.index, (BlockKind.B, BlockKind.R, BlockKind.S))
+
+
+def _sub_run_steps(src_s: bool, dst_s: bool, m: int, b: int, limit: int, cfg: TechConfig,
+                   delay_of: dict) -> tuple[list[Step], list[float], str]:
+    """Over a promoted sub-run: walk_link's steps, the NOMINAL clock-stage delays in
+    token order (delay_of by token distance, filled as met), the text after the source."""
+    limit = min(limit, m)  # a longer run promotes nothing here either
+    span, promoted = limit + 1, "W " * limit + "W.cb "
+    at = [0, *insert_evenly(m, b), m + 1]
+    kinds = [_END_INDEX[src_s], *[_B_INDEX] * b, _END_INDEX[dst_s]]
+    steps, delays, texts, buffers = [], [], [], 0
+    for j in range(b + 1):
+        n = at[j + 1] - at[j] - 1
+        k, rest = divmod(n, span)
+        buffers += k + 1  # the segment's W.cb and its destination
+        steps.append((kinds[j], kinds[j + 1], n, j == 0, at[j], buffers))
+        for d, count in ((span, k), (rest + 1, 1)) if k else ((rest + 1, 1),):
+            if d not in delay_of:
+                delay_of[d] = clock_stage_delay(d - 1, cfg, Corner.NOMINAL)
+            delays += [delay_of[d]] * count
+        texts.append(promoted * k + "W " * rest + ("B" if j < b else "RS"[dst_s]))
+    return steps, delays, " ".join(texts)
 
 
 def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
@@ -256,22 +269,16 @@ def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
 
 
 def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
-                     ts: TableSet, cfg: TechConfig) -> _SubRun:
+                     ts: TableSet, cfg: TechConfig, delay_of: dict) -> _SubRun:
     """The record of a sub-run.  When a chain raised it has no path: a
     candidate holding the sub-run is refused for the error."""
-    run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(src_s, dst_s, m, b))),
-                                 limit)
-    steps, buffers = walk_link(run)
+    steps, stage_delays, text = _sub_run_steps(src_s, dst_s, m, b, limit, cfg, delay_of)
     cs = clock_slew(cfg)
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
-    delay_of = clock_stage_delays(buffers, cfg, Corner.NOMINAL)
-    stage_delays = [delay_of[j - i] for i, j in zip(buffers, buffers[1:])]
     path = (flop_paths(steps, setup, hold, stage_delays, cfg)[0]
             if setup_error is None and hold_error is None else None)
-    tokens = run.tokens[1:]
-    return _SubRun(tokens, " ".join(map(token_text, tokens)), setup_error, hold_error,
-                   path)
+    return _SubRun(text, setup_error, hold_error, path)
 
 
 def _verdict(path: FlopPath, launch: int, clk: ClockSpec,
@@ -287,11 +294,6 @@ def _chain_error(runs: list[_SubRun]) -> str:
     the whole setup pass runs before the hold pass, each relaunching at every R/S."""
     errors = [run.setup_error for run in runs] + [run.hold_error for run in runs]
     return next(error for error in errors if error is not None)
-
-
-def _link_of(runs: list[_SubRun]) -> LinkSentence:
-    """The candidate made of runs, .cb promoted."""
-    return LinkSentence((_S, *chain.from_iterable(run.tokens for run in runs)))
 
 
 def _schedule(M: int, K: int):
@@ -320,6 +322,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
     clk = spec.clock
     slew_max = cfg.slew_legal_max
     records: dict = {}  # sub-run key -> _SubRun
+    delay_of: dict = {}  # clock-stage token distance -> NOMINAL delay
     verdicts: dict = {}  # (sub-run key, launch token) -> _verdict
     iterations = 0
     log: list[str] = []
@@ -330,7 +333,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         for key in keys:
             run = records.get(key)
             if run is None:
-                run = records[key] = _analyze_sub_run(*key, limit, ts, cfg)
+                run = records[key] = _analyze_sub_run(*key, limit, ts, cfg, delay_of)
             runs.append(run)
         text = "S " + " ".join([run.text for run in runs])
         slews, found, launch = [], [], 0
@@ -348,7 +351,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
             reasons = slews + found
         if not reasons:
             log.append(f"{text} -> valid")
-            link = _link_of(runs)
+            link = parse_link(text)
             kinds = link.kinds()[1:-1]
             counts = (kinds.count(BlockKind.W), kinds.count(BlockKind.B),
                       kinds.count(BlockKind.R))

@@ -19,7 +19,7 @@ from gnoc.grammar import LinkSentence, parse_link, segment_decompose, walk_link
 from gnoc.hasta import (PathDirection, Violation, ViolationKind, analyze_link,
                         analyze_path, clock_check, clock_slew, flop_paths,
                         hold_check, judge_paths, render_report, setup_check)
-from gnoc.techlib import (BlockKind, ClockSpec, default_tech_config,
+from gnoc.techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, default_tech_config,
                           load_tech_config, serialize_tech_config)
 
 RELAXED = ClockSpec(period=1000.0)
@@ -560,6 +560,48 @@ def test_memoized_chain_errors_every_call(cfg, text, error):
             analyze_link(warm, ts, cfg, RELAXED)
     assert any(ts.memo[p][s][d] for p in LookupPurpose
                for s in range(3) for d in range(3))
+
+
+def test_first_lookup_from_clock_slew_reads_memo(cfg, monkeypatch):
+    """A chain's first lookup from the clock slew reads through the memo and
+    adds its (n_wires, clock slew) key; from a slew off the grid it looks up
+    directly every time.  Reports are the same from a cold and a warm memo."""
+    ts = build_tables(cfg)
+    cs = clock_slew(cfg)
+    lookup, calls = hasta.view_lookup, []
+
+    def counted(view, n_wires, slew, *args):
+        calls.append((n_wires, slew))
+        return lookup(view, n_wires, slew, *args)
+
+    monkeypatch.setattr(hasta, "view_lookup", counted)
+    b, s = ACTIVE_KINDS.index(BlockKind.B), ACTIVE_KINDS.index(BlockKind.S)
+    link = parse_link("S W W B W W W S")  # S->B only as the first segment
+    cold = analyze_link(link, ts, cfg, RELAXED)
+    assert calls.count((2, cs)) == 2
+    for purpose in LookupPurpose:
+        assert list(ts.memo[purpose][s][b]) == [(2, cs)]
+    calls.clear()
+    assert analyze_link(link, ts, cfg, RELAXED) == cold
+    assert calls == []
+
+    off_grid = 9.7
+    assert off_grid not in slew_grid(cfg)
+    for _ in range(2):  # the second time, the chained lookups are memoized
+        calls.clear()
+        analyze_link(link, ts, cfg, RELAXED, launch_slew=off_grid)
+        assert calls.count((2, off_grid)) == 2
+    assert calls == [(2, off_grid)] * 2
+    for purpose in LookupPurpose:
+        assert list(ts.memo[purpose][s][b]) == [(2, cs)]
+
+    links = corpus(seed=17, count=40, seg_lo=1, seg_hi=20)
+    fresh = build_tables(cfg)
+    cold = [analyze_link(link, fresh, cfg, RELAXED, clock_entry=entry)
+            for link in links for entry in (0, len(link) - 1)]
+    warm = [analyze_link(link, fresh, cfg, RELAXED, clock_entry=entry)
+            for link in links for entry in (0, len(link) - 1)]
+    assert warm == cold
 
 
 def test_memo_bounded_by_tables(cfg):

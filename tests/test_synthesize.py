@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnoc import hasta, synthesize
-from gnoc.characterize import LookupPurpose
-from gnoc.errors import ClockUnsatisfiable, GnocError, TableMismatch
-from gnoc.golden import Corner, clock_stage_delay
-from gnoc.grammar import LinkSentence, parse_link, serialize_link
+from gnoc import golden, grammar, hasta, synthesize
+from gnoc.characterize import LookupMode, LookupPurpose
+from gnoc.errors import (ClockUnsatisfiable, GnocError, SegmentTooLong,
+                         SlewOutOfRange, TableMismatch)
+from gnoc.golden import Corner, clock_stage_delay, clock_stage_delays
+from gnoc.grammar import LinkSentence, parse_link, serialize_link, walk_link
 from gnoc.hasta import analyze_link, clock_check
 from gnoc.synthesize import (LinkSpec, SynthesisResult, _assemble,
                              _budget_vectors, _min_buffers_for_gap,
@@ -384,6 +385,52 @@ def test_promoted_sub_runs_have_no_late_clock_stage(cfg, tables):
                 assert clock_check(promoted, cfg, clk) == [], (key, clk.period)
 
 
+def walked_sub_run(key, limit, cfg):
+    """walk_link's steps and the NOMINAL clock-stage delays in token order
+    over the promoted tokens of sub-run key, and its text after the source."""
+    run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(*key))), limit)
+    steps, buffers = walk_link(run)
+    delay_of = clock_stage_delays(buffers, cfg, Corner.NOMINAL)
+    delays = [delay_of[j - i] for i, j in zip(buffers, buffers[1:])]
+    return steps, delays, serialize_link(LinkSentence(run.tokens[1:]))
+
+
+def test_sub_run_records_equal_walked_tokens(cfg, tables):
+    """Every sub-run synthesis forms (either end S or R, up to 3 K slots,
+    every buffer count), at every limit of the edge periods and at 0: the
+    steps, stage delays (bit for bit) and text built from block positions
+    equal walk_link's over the promoted tokens, and so do the path record
+    and the chain errors of the record."""
+    limits = sorted({0} | {max_clock_run(cfg, T) for T in edge_periods(cfg)})
+    assert limits == list(range(30))
+    keys = [(src_s, dst_s, m, b) for src_s in (False, True) for dst_s in (False, True)
+            for m in range(3 * tables.K + 1) for b in range(m + 1)]
+    cs = hasta.clock_slew(cfg)
+    raised = 0
+    for limit in limits:
+        delay_of = {}  # shared by the keys, as in one synthesize_link call
+        for key in keys:
+            steps, delays, text = walked_sub_run(key, limit, cfg)
+            got = synthesize._sub_run_steps(*key, limit, cfg, delay_of)
+            assert got[0] == steps, (key, limit)
+            assert [d.hex() for d in got[1]] == [d.hex() for d in delays], (key, limit)
+            assert got[2] == text, (key, limit)
+            stages, errors = [], []
+            for purpose in (LookupPurpose.SETUP_MAX, LookupPurpose.HOLD_MIN):
+                try:
+                    stages.append(hasta._chain(steps, tables, LookupMode.PESSIMISTIC,
+                                               purpose, cs, cs))
+                    errors.append(None)
+                except (SegmentTooLong, SlewOutOfRange) as exc:
+                    errors.append(f"{type(exc).__name__}: {exc}")
+            path = (hasta.flop_paths(steps, *stages, delays, cfg)[0]
+                    if len(stages) == 2 else None)
+            record = synthesize._analyze_sub_run(*key, limit, tables, cfg, delay_of)
+            assert repr(tuple(record)) == repr((text, *errors, path)), (key, limit)
+            raised += path is None
+    assert 0 < raised < len(limits) * len(keys)
+
+
 def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
     """Random B/R/S links, .cb tags and all, at the edge periods and random
     satisfiable ones."""
@@ -429,6 +476,38 @@ def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
     assert calls[LookupPurpose.SETUP_MAX] == len(keys)
 
 
+def test_stage_delays_evaluated_once_per_distance(cfg, tables, monkeypatch):
+    """One call evaluates the NOMINAL clock-stage delay once per distinct
+    stage distance of the sub-runs it builds, and walks no link's tokens."""
+    def no_walk(link):
+        raise AssertionError("walk_link called")
+
+    for module in (grammar, golden, hasta):
+        monkeypatch.setattr(module, "walk_link", no_walk)
+    calls = Counter()
+
+    def counted(n, cfg, corner):
+        calls[n, corner] += 1
+        return clock_stage_delay(n, cfg, corner)
+
+    monkeypatch.setattr(synthesize, "clock_stage_delay", counted)
+    spec = LinkSpec(length_slots=30, period=60.0)
+    res = synthesize_link(spec, tables, cfg)
+    monkeypatch.undo()
+    assert res.valid and res.counts[2] >= 2
+    limit = max_clock_run(cfg, spec.period)
+    keys = set().union(*candidate_keys(30, tables.K, res.iterations))
+    distances = set()
+    for key in keys:
+        run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(*key))), limit)
+        buffers = walk_link(run)[1]
+        distances.update(j - i for i, j in zip(buffers, buffers[1:]))
+    assert limit + 1 in distances and len(distances) > 1
+    nominal = Counter({n + 1: count for (n, corner), count in calls.items()
+                       if corner is Corner.NOMINAL})
+    assert nominal == Counter(distances)
+
+
 def test_synthesize_refuses_other_config(cfg, tables):
     """Tables built for one config refuse another before any candidate."""
     other = load_tech_config(
@@ -445,7 +524,9 @@ def test_judged_slacks_equal_analyze_link(cfg, tables):
     assert res.valid and res.counts[2] >= 2
     *_, keys = candidate_keys(40, tables.K, res.iterations)
     limit = max_clock_run(cfg, spec.period)
-    records = [synthesize._analyze_sub_run(*key, limit, tables, cfg) for key in keys]
+    delay_of = {}
+    records = [synthesize._analyze_sub_run(*key, limit, tables, cfg, delay_of)
+               for key in keys]
     assert "S " + " ".join(run.text for run in records) == serialize_link(res.link)
     checks, slews, found = hasta.judge_paths([run.path for run in records],
                                              spec.clock, cfg.slew_legal_max)
