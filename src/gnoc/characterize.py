@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, product
@@ -48,11 +47,13 @@ class LookupMode(Enum):
     EXACT = "exact"
     PESSIMISTIC = "pessimistic"
     INTERPOLATE = "interpolate"
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python code
 
 
 class LookupPurpose(Enum):
     SETUP_MAX = "setup_max"   # worst-case delay, MAX corner
     HOLD_MIN = "hold_min"     # best-case delay, MIN corner
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python code
 
     @property
     def corner(self) -> Corner:
@@ -87,11 +88,12 @@ def _interval(rows: list, lo: int) -> tuple:
     return (i0, x0, x1, x2, x0 - x1, x0 - x2, x1 - x0, x1 - x2, x2 - x0, x2 - x1, width)
 
 
-@dataclass(frozen=True)
-class TableSet:
+class _TableFields(NamedTuple):
     views: dict                  # LookupPurpose -> [src][dst] TableView, like ACTIVE_KINDS
     cfg_digest: str
 
+
+class TableSet(_TableFields):
     @property
     def K(self) -> int:
         return len(self.views[LookupPurpose.SETUP_MAX][0][0].delay[0])
@@ -109,7 +111,7 @@ class TableSet:
     def memo(self) -> dict:
         """LookupPurpose -> [src][dst] dict: (n_wires, slew_in) -> PESSIMISTIC StageResult.
 
-        Filled by hasta's chaining loop; see there for which lookups enter it.
+        Filled by hasta's chaining loop (see there); one per set, so TableSet is not slotted.
         """
         return {purpose: [[{} for _ in ACTIVE_KINDS] for _ in ACTIVE_KINDS]
                 for purpose in LookupPurpose}

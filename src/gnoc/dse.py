@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characterize import TableSet
 from .errors import GnocError, NoValidCandidate, ParseError
@@ -18,23 +18,28 @@ from .synthesize import LinkSpec, synthesize_link
 from .techlib import TechConfig
 
 
-@dataclass(frozen=True)
-class Candidate:
+class _CandidateFields(NamedTuple):
     name: str
     islands: tuple            # of (name, cost)
     links: tuple              # of LinkSpec
 
-    def __post_init__(self):
-        for iname, cost in self.islands:
-            if cost < 0.0:
-                raise GnocError(f"island {iname!r} has negative cost {cost}")
-        names = [l.name for l in self.links]
+
+class Candidate(_CandidateFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        c = super().__new__(cls, *args, **kwargs)
+        for iname, cost in c.islands:
+            if not 0.0 <= cost < math.inf:  # NaN fails too, as in parse_candidates
+                sign = "negative" if cost < 0.0 else "non-finite"
+                raise GnocError(f"island {iname!r} has {sign} cost {cost}")
+        names = [l.name for l in c.links]
         if len(set(names)) != len(names):
-            raise GnocError(f"candidate {self.name!r} has duplicate link names")
+            raise GnocError(f"candidate {c.name!r} has duplicate link names")
+        return c
 
 
-@dataclass(frozen=True)
-class CandidateEval:
+class CandidateEval(NamedTuple):
     name: str
     valid: bool
     cost: float               # inf when invalid
@@ -43,8 +48,7 @@ class CandidateEval:
     reasons: tuple = ()
 
 
-@dataclass(frozen=True)
-class DseResult:
+class DseResult(NamedTuple):
     best_name: str
     best_cost: float
     ledger: tuple             # CandidateEval in stream order
@@ -63,14 +67,9 @@ def evaluate_candidate(c: Candidate, ts: TableSet,
                            f"{'; '.join(res.reasons)}")
             continue
         link_costs.append((spec.name, res.cost))
-    if reasons:
-        return CandidateEval(c.name, valid=False, cost=math.inf,
-                             island_cost=island_cost,
-                             link_costs=tuple(link_costs),
-                             reasons=tuple(reasons))
-    total = island_cost + sum(cost for _, cost in link_costs)
-    return CandidateEval(c.name, valid=True, cost=total,
-                         island_cost=island_cost, link_costs=tuple(link_costs))
+    total = math.inf if reasons else island_cost + sum(cost for _, cost in link_costs)
+    return CandidateEval(c.name, valid=not reasons, cost=total, island_cost=island_cost,
+                         link_costs=tuple(link_costs), reasons=tuple(reasons))
 
 
 def dse_loop(candidates, ts: TableSet, cfg: TechConfig) -> DseResult:

@@ -16,13 +16,12 @@ stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidValue
-from .grammar import LinkSentence, segment_decompose, walk_link
+from .grammar import Frozen, LinkSentence, segment_decompose, walk_link
 from .techlib import ACTIVE_KINDS, BlockKind, TechConfig, block_params
 
 
@@ -30,6 +29,7 @@ class Corner(Enum):
     MIN = "min"
     NOMINAL = "nominal"
     MAX = "max"
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python code
 
 
 def derate(cfg: TechConfig, corner: Corner) -> float:
@@ -76,12 +76,14 @@ def golden_segment(src: BlockKind, dst: BlockKind, n_wires: int, slew_in: float,
     return StageResult(delay=delay, slew_out=slew_out)
 
 
-@dataclass(frozen=True)
-class PathResult:
-    """A chained path analysis, from the oracle or from the tables."""
+class PathResult(Frozen):
+    """A chained path analysis, from the oracle or from the tables: its stages
+    and arrivals, the cumulative delay at each active block after the first."""
 
-    stages: tuple[StageResult, ...]
-    arrivals: tuple[float, ...]   # cumulative delay at each active block after the first
+    __slots__ = ("stages", "arrivals")
+
+    def __init__(self, stages: tuple[StageResult, ...], arrivals: tuple[float, ...]):
+        self._set(stages, arrivals)
 
     @property
     def total_delay(self) -> float:
@@ -113,8 +115,7 @@ def golden_path_analyze(link: LinkSentence, launch_slew: float, corner: Corner,
     return PathResult(stages=tuple(stages), arrivals=tuple(arrivals))
 
 
-@dataclass(frozen=True)
-class ClockResult:
+class ClockResult(NamedTuple):
     latencies: tuple[float, ...]      # per token, at its governing clock buffer
     stage_delays: tuple[float, ...]   # between consecutive clock buffers
     stage_spans: tuple[tuple[int, int], ...]  # (buffer token, next buffer token)

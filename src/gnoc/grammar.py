@@ -8,7 +8,6 @@ one non-S token between any two S tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GrammarError, LexError, SubtypeError
@@ -19,9 +18,40 @@ Token = tuple[BlockKind, SubtypeTag]
 Step = tuple[int, int, int, bool, int, int]
 
 
-@dataclass(frozen=True)
-class LinkSentence:
-    tokens: tuple[Token, ...]
+class Frozen:
+    """Base of the non-tuple records (LinkSentence, golden.PathResult, hasta.TimingReport):
+    __slots__ fields, read-only, set by _set; __reduce__ serves copy, pickle, ==, hash, repr."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __eq__(self, other):
+        if not isinstance(other, Frozen):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class LinkSentence(Frozen):
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple[Token, ...]):
+        self._set(tokens)
 
     def __len__(self):
         return len(self.tokens)
@@ -98,12 +128,12 @@ def walk_link(link: LinkSentence) -> tuple[list[Step], list[int]]:
     segment_steps, segment_decompose and golden.clock_buffer_indices are
     views of them.
     """
-    wire, buffer, index = BlockKind.W, BlockKind.B, ACTIVE_KINDS.index
+    wire, buffer, index, plain = BlockKind.W, BlockKind.B, ACTIVE_KINDS.index, DEFAULT_SUBTYPE
     steps, buffers = [], []
     src = None
     for i, (kind, sub) in enumerate(link.tokens):
         if kind is wire:
-            if sub.clock_buffered:
+            if sub is not plain and sub.clock_buffered:  # skips a slow NamedTuple read
                 buffers.append(i)
             continue
         dst = index(kind)

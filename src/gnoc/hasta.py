@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import attrgetter, sub
@@ -53,8 +52,8 @@ from .characterize import (LookupMode, LookupPurpose, TableSet,
 from .errors import TableMismatch
 from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
                      clock_stage_delay, clock_stage_delays)
-from .grammar import (LinkSentence, Segment, Step, segment_decompose, segment_steps,
-                      serialize_link, walk_link)
+from .grammar import (Frozen, LinkSentence, Segment, Step, segment_decompose,
+                      segment_steps, serialize_link, walk_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
 
@@ -98,15 +97,13 @@ class PathCheck(NamedTuple):
         return PathDirection.FORWARD if self.skew >= 0.0 else PathDirection.BACKWARD
 
 
-@dataclass(frozen=True)
-class TimingReport:
-    link: LinkSentence
-    mode: LookupMode
-    clock: ClockSpec
-    setup_stages: tuple[StageResult, ...]
-    hold_stages: tuple[StageResult, ...]
-    paths: tuple[PathCheck, ...]
-    violations: tuple[Violation, ...]
+class TimingReport(Frozen):
+    __slots__ = ("link", "mode", "clock", "setup_stages", "hold_stages", "paths", "violations")
+
+    def __init__(self, link: LinkSentence, mode: LookupMode, clock: ClockSpec,
+                 setup_stages: tuple[StageResult, ...], hold_stages: tuple[StageResult, ...],
+                 paths: tuple[PathCheck, ...], violations: tuple[Violation, ...]):
+        self._set(link, mode, clock, setup_stages, hold_stages, paths, violations)
 
     @property
     def ok(self) -> bool:

@@ -39,7 +39,6 @@ error in sub-run order, else the first hold-pass one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
@@ -52,27 +51,31 @@ from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
                       ClockSpec, TechConfig)
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """What a link must achieve: its span in pitch slots and target clock."""
-
+class _SpecFields(NamedTuple):
     length_slots: int
     period: float
     jitter: float = 0.0
     name: str = "link"
 
-    def __post_init__(self):
-        if not isinstance(self.length_slots, int) or self.length_slots < 1:
-            raise GnocError(f"length_slots must be an int >= 1, got {self.length_slots!r}")
-        self.clock  # ClockSpec checks period > jitter >= 0
+
+class LinkSpec(_SpecFields):
+    """What a link must achieve: its span in pitch slots and target clock."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if not isinstance(spec.length_slots, int) or spec.length_slots < 1:
+            raise GnocError(f"length_slots must be an int >= 1, got {spec.length_slots!r}")
+        spec.clock  # ClockSpec checks period > jitter >= 0
+        return spec
 
     @property
     def clock(self) -> ClockSpec:
         return ClockSpec(period=self.period, jitter=self.jitter)
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     link: LinkSentence | None
     cost: float
     counts: tuple[int, int, int]   # (#W, #B, #R) over interior slots

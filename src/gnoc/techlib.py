@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidValue, MissingKey, ParseError
 
@@ -24,6 +24,7 @@ class BlockKind(Enum):
     B = "B"  # buffered wire
     R = "R"  # registered (pipelining) wire
     S = "S"  # switch/router
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python code
 
     def __str__(self):
         return self.value
@@ -32,8 +33,7 @@ class BlockKind(Enum):
 ACTIVE_KINDS = (BlockKind.B, BlockKind.R, BlockKind.S)
 
 
-@dataclass(frozen=True)
-class SubtypeTag:
+class SubtypeTag(NamedTuple):
     """Block sub-type selector.
 
     clock_buffered selects the clock-buffered wire variant (written ``.cb``);
@@ -48,8 +48,7 @@ DEFAULT_SUBTYPE = SubtypeTag()
 CB_SUBTYPE = SubtypeTag(clock_buffered=True)
 
 
-@dataclass(frozen=True)
-class BlockParams:
+class BlockParams(NamedTuple):
     """Electrical/timing parameters of one block kind.
 
     d0: intrinsic delay (tu); k_sl: delay sensitivity to input slew;
@@ -75,10 +74,7 @@ class BlockParams:
     cb_s0: float = 2.0
 
 
-@dataclass(frozen=True)
-class TechConfig:
-    """Immutable technology parameter set shared by every analysis stage."""
-
+class _TechFields(NamedTuple):
     pitch_r: float
     pitch_c: float
     K: int
@@ -91,8 +87,16 @@ class TechConfig:
     derate_min: float = 0.9
     derate_max: float = 1.1
     cb_surcharge: float = 1.0
-    params: dict = field(default_factory=dict)      # BlockKind -> BlockParams
-    area_cost: dict = field(default_factory=dict)   # BlockKind -> float
+    params: dict = None      # BlockKind -> BlockParams; if empty, each config gets its own {}
+    area_cost: dict = None   # BlockKind -> float; likewise
+
+
+class TechConfig(_TechFields):
+    """Immutable technology parameter set shared by every analysis stage."""
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        return cfg._replace(params=cfg.params or {}, area_cost=cfg.area_cost or {})
 
     def digest(self) -> str:
         """Hex digest of the canonical serialization; identifies table provenance."""
@@ -100,23 +104,28 @@ class TechConfig:
 
     @cached_property
     def _digest(self) -> str:
-        # computed once per config: analysis checks it on every call
+        # cached per config (so not slotted): analysis checks it on every call
         return hashlib.sha256(serialize_tech_config(self).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ClockSpec:
-    """Global clock: period and jitter in tu."""
-
+class _ClockFields(NamedTuple):
     period: float
     jitter: float = 0.0
 
-    def __post_init__(self):
-        if not self.period > self.jitter >= 0.0:
+
+class ClockSpec(_ClockFields):
+    """Global clock: period and jitter in tu."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        clk = super().__new__(cls, *args, **kwargs)
+        if not clk.period > clk.jitter >= 0.0:
             raise InvalidValue(f"clock requires period > jitter >= 0, "
-                               f"got T={self.period} jitter={self.jitter}")
-        if not math.isfinite(self.period):
-            raise InvalidValue(f"clock period must be finite, got T={self.period}")
+                               f"got T={clk.period} jitter={clk.jitter}")
+        if not math.isfinite(clk.period):
+            raise InvalidValue(f"clock period must be finite, got T={clk.period}")
+        return clk
 
 
 # Keys accepted at global scope (before any section) with their defaults;
@@ -232,7 +241,7 @@ def _validate(cfg: TechConfig):
         if not 0.0 <= getattr(cfg, name) < math.inf:  # NaN fails too
             raise InvalidValue(f"{name} must be nonnegative and finite")
     for kind, p in cfg.params.items():
-        for fname, fval in vars(p).items():
+        for fname, fval in p._asdict().items():
             if not 0.0 <= fval < math.inf:
                 raise InvalidValue(f"[kind {kind}] {fname} must be nonnegative "
                                    f"and finite, got {fval}")
@@ -261,9 +270,7 @@ def serialize_tech_config(cfg: TechConfig) -> str:
     """Canonical text form; load_tech_config round-trips it exactly."""
     anyp = cfg.params[BlockKind.B]
     lines = []
-    for key in ("pitch_r", "pitch_c", "K", "L", "slew_grid_min", "slew_grid_max",
-                "slew_legal_min", "slew_legal_max", "beta", "derate_min",
-                "derate_max", "cb_surcharge"):
+    for key in cfg._fields[:-2]:  # the scalar fields, before params and area_cost
         lines.append(f"{key} = {getattr(cfg, key)!r}")
     for key in ("cb_d0", "cb_r_drv", "cb_c_in", "cb_s0"):
         lines.append(f"{key} = {getattr(anyp, key)!r}")
@@ -287,6 +294,6 @@ def default_tech_config() -> TechConfig:
 
 def with_slew_grid(cfg: TechConfig, L: int) -> TechConfig:
     """Same technology with a finer/coarser characterization slew grid."""
-    out = replace(cfg, L=L)
+    out = cfg._replace(L=L)
     _validate(out)
     return out

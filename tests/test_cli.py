@@ -193,15 +193,20 @@ def test_command_loads_only_its_layers(ws, tmp_path, command):
         "import sys\n"
         "from gnoc.cli import main\n"
         "rc = main(sys.argv[1:])\n"
+        "print('slow', *sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
         "print('rc', rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'gnoc'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, command, *argv],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    rc, *loaded = proc.stdout.splitlines()[-1].split()[1:]
+    *_, slow, last = proc.stdout.splitlines()
+    rc, *loaded = last.split()[1:]
     assert rc == "0"
     assert set(loaded) == LOADED[command]
+    # gnoc's records are NamedTuples and slotted classes: no command pays
+    # for importing dataclasses, or inspect through it
+    assert slow == "slow"
 
 
 def test_tables_digest_mismatch(ws, tmp_path, capsys):

@@ -43,6 +43,18 @@ def test_candidate_validation():
                             LinkSpec(length_slots=3, period=10.0, name="x")))
 
 
+@pytest.mark.parametrize("cost, message", [
+    (-1.0, "negative"), (-math.inf, "negative"),
+    (math.nan, "non-finite"), (math.inf, "non-finite"),
+])
+def test_candidate_refuses_island_cost(cost, message):
+    """The constructor refuses every island cost that parse_candidates does."""
+    with pytest.raises(GnocError, match=f"island 'i0' has {message} cost"):
+        Candidate("a", (("core", 1.0), ("i0", cost)),
+                  (LinkSpec(length_slots=2, period=10.0),))
+    assert Candidate("a", (("i0", 0.0),), ()).islands == (("i0", 0.0),)
+
+
 def test_loop_keeps_strictly_cheapest(cfg, tables):
     cs = [cand("a", [300.0], [LinkSpec(length_slots=2, period=100.0)]),   # 342
           cand("b", [300.0], [LinkSpec(length_slots=2, period=100.0)]),   # 342

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import random_link
 from gnoc.errors import GrammarError, LexError, SubtypeError
-from gnoc.grammar import parse_link, segment_decompose, serialize_link, walk_link
-from gnoc.techlib import ACTIVE_KINDS, BlockKind
+from gnoc.grammar import (LinkSentence, parse_link, segment_decompose, serialize_link,
+                          walk_link)
+from gnoc.techlib import ACTIVE_KINDS, BlockKind, SubtypeTag
 
 
 def kinds_of(link):
@@ -125,3 +126,7 @@ def test_walk_link_steps_and_buffers(seed, n, cb_prob):
             == seg
         assert sequential == (seg.src_kind is not BlockKind.B)
         assert buffers[dst_buffer] == seg.dst_index
+    # the same from sub-types built apart from the shared DEFAULT_SUBTYPE and CB_SUBTYPE
+    fresh = LinkSentence(tuple((kind, SubtypeTag(sub.clock_buffered))
+                               for kind, sub in link.tokens))
+    assert walk_link(fresh) == (steps, buffers)

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import math
 import random
@@ -474,6 +475,31 @@ def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
     calls.clear()
     assert synthesize_link(spec, tables, cfg) == first
     assert calls[LookupPurpose.SETUP_MAX] == len(keys)
+
+
+def test_analysis_and_synthesis_hash_no_enum_member(cfg, tables, monkeypatch):
+    """BlockKind, Corner, LookupMode and LookupPurpose hash by identity, so
+    reading the table views, the memo, the block parameters and the area
+    costs never runs Enum's own __hash__.  Results are the unpatched ones."""
+    specs = [LinkSpec(length_slots=m, period=t)
+             for m, t in ((1, 60.0), (4, 60.0), (12, 90.0), (30, 90.0), (34, 50.0))]
+    links = [parse_link(text) for text in ("S W W B W W R W W S", "S W W.cb W B W W S")]
+    clk = ClockSpec(period=60.0, jitter=1.0)
+
+    def run():
+        return ([analyze_link(link, tables, cfg, clk, mode, entry, launch)
+                 for link in links for mode in LookupMode
+                 for entry in (0, len(link) - 1) for launch in (None, 4.0)],
+                [synthesize_link(spec, tables, cfg) for spec in specs])
+
+    def refuse(member):
+        raise AssertionError(f"hashed {member!r}")
+
+    expected = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(enum.Enum, "__hash__", refuse)
+        got = run()
+    assert got == expected
 
 
 def test_stage_delays_evaluated_once_per_distance(cfg, tables, monkeypatch):
