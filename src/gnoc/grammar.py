@@ -71,8 +71,8 @@ class Segment(NamedTuple):
 
 
 # the token of each word a sentence may hold
-_TOKENS = {kind._value_: (kind, DEFAULT_SUBTYPE) for kind in BlockKind}
-_TOKENS["W.cb"] = (BlockKind.W, CB_SUBTYPE)
+TOKENS = {kind._value_: (kind, DEFAULT_SUBTYPE) for kind in BlockKind}
+TOKENS["W.cb"] = (BlockKind.W, CB_SUBTYPE)
 
 
 def parse_link(text: str) -> LinkSentence:
@@ -85,10 +85,10 @@ def parse_link(text: str) -> LinkSentence:
 
     tokens: list[Token] = []
     for pos, word in enumerate(words):
-        token = _TOKENS.get(word)
+        token = TOKENS.get(word)
         if token is None:
             base, _, suffix = word.partition(".")
-            if base not in _TOKENS:
+            if base not in TOKENS:
                 raise LexError(f"token {pos}: unknown token {word!r}", position=pos)
             if suffix != "cb":
                 raise LexError(f"token {pos}: unknown suffix {word!r}", position=pos)
@@ -112,9 +112,9 @@ def parse_link(text: str) -> LinkSentence:
 
 def serialize_link(link: LinkSentence) -> str:
     """Canonical single-space serialization; inverse of parse_link."""
-    # _value_ skips Enum.value's descriptor, which dominated serialization
-    return " ".join(kind._value_ + ".cb" if sub.clock_buffered else kind._value_
-                    for kind, sub in link.tokens)
+    # _value_ skips Enum.value's descriptor; `is` skips the plain tag's field read
+    return " ".join(kind._value_ if sub is DEFAULT_SUBTYPE or not sub.clock_buffered
+                    else kind._value_ + ".cb" for kind, sub in link.tokens)
 
 
 def walk_link(link: LinkSentence) -> tuple[list[Step], list[int]]:

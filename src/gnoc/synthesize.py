@@ -20,31 +20,36 @@ sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
 one synthesize_link call each sub-run is analyzed once, keyed by (its source
 is S, its destination is S, its slot count, its buffer count).  Its record is
 built from its block positions, with no tokens: a segment of n wires holds
-k, rest = divmod(n, limit + 1) W.cb, so its steps, clock stages and text
-follow by arithmetic.  A record keeps the text, and each raising chain's
-error or else the one flop-to-flop path as a hasta.flop_paths record, chained
-from the clock slew as analyze_link relaunches every PESSIMISTIC path.  The
-winner is parse_link of its text.  Records and stage delays are per call.
+k, rest = divmod(n, limit + 1) W.cb, and the text, clock-stage delays and
+buffer count of each n are built once per call.  A record keeps the text, and
+each raising chain's error or else the one flop-to-flop path as a
+hasta.flop_paths record, chained from the clock slew as analyze_link
+relaunches every PESSIMISTIC path.
 
-The clock is fixed inside a call, so each (sub-run key, launch token) is
-judged once by hasta.judge_paths and its reasons are formatted once.  A
-candidate's reasons are all its sub-runs' SLEW_RANGE reasons, then all their
-path reasons: the order judge_paths gives over the whole candidate.  A record
-holds all its verdict needs, skew included, so the verdicts are is_valid's
-bit for bit.  analyze_link chains the whole setup pass before the hold pass,
-so a candidate holding a raising sub-run is refused for the first setup-pass
-error in sub-run order, else the first hold-pass one.
+For one r the sub-run lengths and launch tokens are fixed, so each (sub-run,
+buffer count) is a part, built once per call: its text, chain errors, and
+SLEW_RANGE and path reasons, judged by hasta.judge_paths at its launch token
+and joined once.  A record holds all a verdict needs, skew included, so the
+verdicts are is_valid's bit for bit.  The budget vectors are walked depth
+first, by total then lexicographically, each level carrying its prefix's text,
+first setup and hold errors and reasons: a candidate costs a few string joins.
+analyze_link chains the whole setup pass before the hold pass, so a candidate
+is refused for its first setup-pass error in sub-run order, else its first
+hold-pass one, else for all its SLEW_RANGE reasons, then all its path reasons,
+as judge_paths orders them.  The winner's tokens are grammar.TOKENS of its
+words.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_stage_delay
-from .grammar import LinkSentence, Step, Token, parse_link
+from .grammar import TOKENS, LinkSentence, Step, Token
 from .hasta import (FlopPath, Violation, _chain, analyze_link, check_tables,
                     clock_slew, flop_paths, judge_paths)
 from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
@@ -94,11 +99,11 @@ def insert_evenly(M: int, n: int) -> list[int]:
 
 def link_cost(link: LinkSentence, cfg: TechConfig) -> float:
     """Total area in pitch units; the clock-buffered wire pays a surcharge."""
-    total = 0.0
+    area, surcharge, total = cfg.area_cost, cfg.cb_surcharge, 0.0
     for kind, sub in link.tokens:
-        total += cfg.area_cost[kind]
-        if sub.clock_buffered:
-            total += cfg.cb_surcharge
+        total += area[kind]
+        if sub is not DEFAULT_SUBTYPE and sub.clock_buffered:
+            total += surcharge
     return total
 
 
@@ -199,25 +204,6 @@ def _assemble(M: int, reg_pos: list[int], budgets: tuple[int, ...]) -> LinkSente
     return LinkSentence(tuple(tokens))
 
 
-def _budget_vectors(bounds: list[int], minima: list[int]):
-    """Yield buffer-count vectors in increasing total order, lexicographic within."""
-    for total in range(sum(minima), sum(bounds) + 1):
-        yield from _compositions(total, bounds, minima, 0)
-
-
-def _compositions(total, bounds, minima, j):
-    if j == len(bounds) - 1:
-        if minima[j] <= total <= bounds[j]:
-            yield (total,)
-        return
-    rest_min = sum(minima[j + 1:])
-    rest_max = sum(bounds[j + 1:])
-    for b in range(max(minima[j], total - rest_max),
-                   min(bounds[j], total - rest_min) + 1):
-        for tail in _compositions(total - b, bounds, minima, j + 1):
-            yield (b,) + tail
-
-
 def _min_buffers_for_gap(m: int, K: int) -> int:
     """Fewest evenly-placed buffers so no segment exceeds K-1 intervening wires.
 
@@ -239,25 +225,35 @@ class _SubRun(NamedTuple):
 _B_INDEX, *_END_INDEX = map(ACTIVE_KINDS.index, (BlockKind.B, BlockKind.R, BlockKind.S))
 
 
+def _segment(n: int, limit: int, cfg: TechConfig, pieces: dict) -> tuple[str, list, int]:
+    """A promoted segment of n wires: its text up to its destination, the NOMINAL
+    delays of the clock stages it closes and its clock-buffer count, each W.cb and
+    the destination.  pieces holds them by n for one limit."""
+    if n <= limit:
+        piece = ("W " * n, [clock_stage_delay(n, cfg, Corner.NOMINAL)], 1)
+    else:  # k full stages, each closed by a W.cb, then the rest
+        k, rest = divmod(n, limit + 1)
+        text, delays, _ = pieces.get(limit) or _segment(limit, limit, cfg, pieces)
+        tail = pieces.get(rest) or _segment(rest, limit, cfg, pieces)
+        piece = ((text + "W.cb ") * k + tail[0], delays * k + tail[1], k + 1)
+    pieces[n] = piece
+    return piece
+
+
 def _sub_run_steps(src_s: bool, dst_s: bool, m: int, b: int, limit: int, cfg: TechConfig,
-                   delay_of: dict) -> tuple[list[Step], list[float], str]:
+                   pieces: dict) -> tuple[list[Step], list[float], str]:
     """Over a promoted sub-run: walk_link's steps, the NOMINAL clock-stage delays in
-    token order (delay_of by token distance, filled as met), the text after the source."""
-    limit = min(limit, m)  # a longer run promotes nothing here either
-    span, promoted = limit + 1, "W " * limit + "W.cb "
+    token order and the text after the source; pieces as for _segment."""
     at = [0, *insert_evenly(m, b), m + 1]
     kinds = [_END_INDEX[src_s], *[_B_INDEX] * b, _END_INDEX[dst_s]]
     steps, delays, texts, buffers = [], [], [], 0
     for j in range(b + 1):
         n = at[j + 1] - at[j] - 1
-        k, rest = divmod(n, span)
-        buffers += k + 1  # the segment's W.cb and its destination
+        text, stage_delays, count = pieces.get(n) or _segment(n, limit, cfg, pieces)
+        buffers += count
         steps.append((kinds[j], kinds[j + 1], n, j == 0, at[j], buffers))
-        for d, count in ((span, k), (rest + 1, 1)) if k else ((rest + 1, 1),):
-            if d not in delay_of:
-                delay_of[d] = clock_stage_delay(d - 1, cfg, Corner.NOMINAL)
-            delays += [delay_of[d]] * count
-        texts.append(promoted * k + "W " * rest + ("B" if j < b else "RS"[dst_s]))
+        delays += stage_delays
+        texts.append(text + ("B" if j < b else "RS"[dst_s]))
     return steps, delays, " ".join(texts)
 
 
@@ -272,10 +268,10 @@ def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
 
 
 def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
-                     ts: TableSet, cfg: TechConfig, delay_of: dict) -> _SubRun:
+                     ts: TableSet, cfg: TechConfig, pieces: dict) -> _SubRun:
     """The record of a sub-run.  When a chain raised it has no path: a
     candidate holding the sub-run is refused for the error."""
-    steps, stage_delays, text = _sub_run_steps(src_s, dst_s, m, b, limit, cfg, delay_of)
+    steps, stage_delays, text = _sub_run_steps(src_s, dst_s, m, b, limit, cfg, pieces)
     cs = clock_slew(cfg)
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
@@ -286,30 +282,9 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
 
 def _verdict(path: FlopPath, launch: int, clk: ClockSpec,
              slew_max: float) -> tuple[list[str], list[str]]:
-    """The SLEW_RANGE reasons and the path reasons of a sub-run launched at
-    token launch."""
+    """The SLEW_RANGE reasons and path reasons of a sub-run launched at token launch."""
     _, slews, found = judge_paths([path], clk, slew_max, launch)
     return [_reason(v) for v in slews], [_reason(v) for v in found]
-
-
-def _chain_error(runs: list[_SubRun]) -> str:
-    """analyze_link's chain error for a candidate of runs, one of which raised:
-    the whole setup pass runs before the hold pass, each relaunching at every R/S."""
-    errors = [run.setup_error for run in runs] + [run.hold_error for run in runs]
-    return next(error for error in errors if error is not None)
-
-
-def _schedule(M: int, K: int):
-    """The candidates in search order, each as its sub-run keys, a key being
-    (source is S, destination is S, slots, buffers)."""
-    for r in range(0, M + 1):
-        reg_pos = insert_evenly(M, r)
-        bounds = [0] + reg_pos + [M + 1]
-        sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
-        minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
-        ends = [True] + [False] * r + [True]
-        for budgets in _budget_vectors(sub_lens, minima):
-            yield list(zip(ends, ends[1:], sub_lens, budgets))
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
@@ -322,47 +297,71 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
                                iterations=0, valid=False,
                                reasons=(f"ClockUnsatisfiable: {exc}",))
     check_tables(ts, cfg)
-    clk = spec.clock
-    slew_max = cfg.slew_legal_max
+    clk, slew_max = spec.clock, cfg.slew_legal_max
     records: dict = {}  # sub-run key -> _SubRun
-    delay_of: dict = {}  # clock-stage token distance -> NOMINAL delay
-    verdicts: dict = {}  # (sub-run key, launch token) -> _verdict
-    iterations = 0
+    pieces: dict = {}  # wire count -> _segment
+    rows_of: dict = {}  # (slots, launch token) -> parts by buffer count
     log: list[str] = []
-    reasons: list[str] = ["no candidate attempted"]
-    for keys in _schedule(M, ts.K):
-        iterations += 1
-        runs = []
-        for key in keys:
-            run = records.get(key)
-            if run is None:
-                run = records[key] = _analyze_sub_run(*key, limit, ts, cfg, delay_of)
-            runs.append(run)
-        text = "S " + " ".join([run.text for run in runs])
-        slews, found, launch = [], [], 0
-        for key, run in zip(keys, runs):
-            if run.path is None:
-                reasons = [_chain_error(runs)]
-                break
-            verdict = verdicts.get((key, launch))
-            if verdict is None:
-                verdict = verdicts[key, launch] = _verdict(run.path, launch, clk, slew_max)
-            slews += verdict[0]
-            found += verdict[1]
-            launch += run.path[0]
-        else:
-            reasons = slews + found
-        if not reasons:
-            log.append(f"{text} -> valid")
-            link = parse_link(text)
-            kinds = link.kinds()[1:-1]
-            counts = (kinds.count(BlockKind.W), kinds.count(BlockKind.B),
-                      kinds.count(BlockKind.R))
-            return SynthesisResult(link=link, cost=link_cost(link, cfg),
-                                   counts=counts, iterations=iterations,
-                                   valid=True, log=tuple(log))
-        log.append(f"{text} -> {'; '.join(reasons)}")
 
+    def walk(j, left, text, setup, hold, slews, found):
+        """Try and log, in search order, the candidates whose levels before j make the
+        prefix and whose levels from j on hold left buffers; the winner's text, or None."""
+        row = rows[j]
+        for b in range(max(minima[j], left - most[j + 1]), min(lens[j], left - least[j + 1]) + 1):
+            t, s, h, sl, fd, _ = row[b] or part(j, b)
+            t, s, h, sl, fd = text + t, setup or s, hold or h, slews + sl, found + fd
+            if j + 1 < last:
+                won = walk(j + 1, left - b, t, s, h, sl, fd)
+                if won is not None:
+                    return won
+                continue
+            # the last level holds what is left
+            t2, s2, h2, sl2, fd2, _ = rows[last][left - b] or part(last, left - b)
+            t += t2
+            why = s or s2 or h or h2 or (sl + sl2 + fd + fd2)[2:]  # less the first "; "
+            log.append(f"{t} -> {why or 'valid'}")
+            if not why:
+                return t
+        return None
+
+    def part(j, b):
+        """Level j's part of b buffers: (" " and the record's text, setup error, hold error,
+        SLEW_RANGE and path reasons each led by "; ", the two reason lists)."""
+        key = (j == 1, j == last, lens[j], b)
+        run = records.get(key)
+        if run is None:
+            run = records[key] = _analyze_sub_run(*key, limit, ts, cfg, pieces)
+        if run.path is None:
+            p = (" " + run.text, run.setup_error, run.hold_error, "", "", ([], []))
+        else:
+            slews, found = lists = _verdict(run.path, bounds[j - 1], clk, slew_max)
+            p = (" " + run.text, None, None, "; " + "; ".join(slews) if slews else "",
+                 "; " + "; ".join(found) if found else "", lists)
+        rows[j][b] = p
+        return p
+
+    for r in range(M + 1):
+        # level 0 is the source S, levels 1..r + 1 the sub-runs between R/S blocks
+        bounds = [0, *insert_evenly(M, r), M + 1]
+        lens = [0] + [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        minima = [0] + [_min_buffers_for_gap(m, ts.K) for m in lens[1:]]
+        least = [*accumulate(reversed(minima), initial=0)][::-1]  # level j on
+        most = [*accumulate(reversed(lens), initial=0)][::-1]
+        last = r + 1
+        rows = [[("S", None, None, "", "", ([], []))]]
+        rows += [rows_of.setdefault((m, at), [None] * (m + 1)) for m, at in zip(lens[1:], bounds)]
+        for total in range(least[0], most[0] + 1):  # by total, then lexicographically
+            text = walk(0, total, "", None, None, "", "")
+            if text is not None:
+                link = LinkSentence(tuple(map(TOKENS.__getitem__, text.split())))
+                counts = (text.count("W"), text.count("B"), text.count("R"))  # W.cb is a W
+                return SynthesisResult(link=link, cost=link_cost(link, cfg),
+                                       counts=counts, iterations=len(log),
+                                       valid=True, log=tuple(log))
+    # exhausted: the last candidate tried is S R ... R S, every sub-run empty
+    parts = [row[0] for row in rows[1:]]
+    error = next(filter(None, [p[1] for p in parts] + [p[2] for p in parts]), None)
+    reasons = (error,) if error else tuple(r for i in (0, 1) for p in parts for r in p[5][i])
     return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
-                           iterations=iterations, valid=False,
-                           reasons=tuple(reasons), log=tuple(log))
+                           iterations=len(log), valid=False, reasons=reasons,
+                           log=tuple(log))

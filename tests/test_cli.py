@@ -301,6 +301,63 @@ def test_synthesize_unsatisfiable(ws, tmp_path, capsys):
     assert rc == 1
 
 
+EXHAUSTED_3_AT_12 = (
+    "SETUP at path 0->1: setup slack -1.97; "
+    "COMB_GT_PERIOD at path 0->1: combinational delay 15.29 > period 12")
+
+
+def test_synthesize_exhausted_search_pinned(ws, tmp_path, capsys):
+    """3 slots at T = 12: every candidate is tried and refused, each printed
+    with its reasons; the last one's reasons make the unsynthesizable line."""
+    out = tmp_path / "x.gnoc"
+    assert main(["synthesize", *args(ws, "--length", "3", "--period", "12",
+                                     "--out", str(out))]) == 1
+    setup, comb = "SETUP at path", "COMB_GT_PERIOD at path"
+    assert capsys.readouterr().out == "".join(f"try: {line}\n" for line in (
+        f"S W.cb W.cb W.cb S -> {setup} 0->4: setup slack -0.255; "
+        f"{comb} 0->4: combinational delay 29.535 > period 12",
+        f"S W.cb B W.cb S -> {setup} 0->4: setup slack -1.245; "
+        f"{comb} 0->4: combinational delay 30.525 > period 12",
+        f"S B W.cb B S -> {setup} 0->4: setup slack -3.775; "
+        f"{comb} 0->4: combinational delay 33.055 > period 12",
+        f"S B B B S -> {setup} 0->4: setup slack -8.395; "
+        f"{comb} 0->4: combinational delay 37.675 > period 12",
+        f"S W.cb R W.cb S -> {setup} 0->2: setup slack -0.62; "
+        f"{comb} 0->2: combinational delay 18.26 > period 12; "
+        f"{comb} 2->4: combinational delay 14.245 > period 12",
+        f"S W.cb R B S -> {setup} 0->2: setup slack -0.62; "
+        f"{comb} 0->2: combinational delay 18.26 > period 12; "
+        f"{comb} 2->4: combinational delay 18.315 > period 12",
+        f"S B R W.cb S -> {setup} 0->2: setup slack -5.02; "
+        f"{comb} 0->2: combinational delay 22.66 > period 12; "
+        f"{comb} 2->4: combinational delay 14.245 > period 12",
+        f"S B R B S -> {setup} 0->2: setup slack -5.02; "
+        f"{comb} 0->2: combinational delay 22.66 > period 12; "
+        f"{comb} 2->4: combinational delay 18.315 > period 12",
+        f"S R W.cb R S -> {setup} 0->1: setup slack -1.97; "
+        f"{comb} 0->1: combinational delay 15.29 > period 12; "
+        f"{comb} 1->3: combinational delay 13.42 > period 12",
+        f"S R B R S -> {setup} 0->1: setup slack -1.97; "
+        f"{comb} 0->1: combinational delay 15.29 > period 12; "
+        f"{setup} 1->3: setup slack -0.4; "
+        f"{comb} 1->3: combinational delay 18.04 > period 12",
+        f"S R R R S -> {EXHAUSTED_3_AT_12}",
+    )) + f"unsynthesizable: {EXHAUSTED_3_AT_12}\n"
+    assert not out.exists()
+
+
+def test_dse_ledger_exhausted_search(ws, tmp_path, capsys):
+    cands = tmp_path / "cands.txt"
+    cands.write_text("candidate a\nisland core 100\nlink l 3 12\nend\n"
+                     "candidate b\nisland core 100\nlink l 2 100\nend\n")
+    assert main(["dse", *args(ws, "--candidates", str(cands))]) == 0
+    assert capsys.readouterr().out == (
+        "name,valid,cost,detail\n"
+        f"a,0,inf,link 'l' unsynthesizable: {EXHAUSTED_3_AT_12}\n"
+        "b,1,142,\n"
+        "best=b cost=142 evaluated=2\n")
+
+
 BELOW_CLOCK_FLOOR = ("ClockUnsatisfiable: clock stage with zero unbuffered "
                      "slots already >= T/2 = 4.75")
 

@@ -11,17 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnoc import golden, grammar, hasta, synthesize
-from gnoc.characterize import LookupMode, LookupPurpose
+from gnoc.characterize import LookupMode, LookupPurpose, build_tables
 from gnoc.errors import (ClockUnsatisfiable, GnocError, SegmentTooLong,
                          SlewOutOfRange, TableMismatch)
 from gnoc.golden import Corner, clock_stage_delay, clock_stage_delays
 from gnoc.grammar import LinkSentence, parse_link, serialize_link, walk_link
 from gnoc.hasta import analyze_link, clock_check
 from gnoc.synthesize import (LinkSpec, SynthesisResult, _assemble,
-                             _budget_vectors, _min_buffers_for_gap,
-                             _promote_clock_buffers, _sub_run_tokens,
-                             assign_clock_subtypes, insert_evenly, is_valid,
-                             link_cost, max_clock_run, synthesize_link)
+                             _min_buffers_for_gap, _promote_clock_buffers,
+                             _sub_run_tokens, assign_clock_subtypes,
+                             insert_evenly, is_valid, link_cost, max_clock_run,
+                             synthesize_link)
 from gnoc.techlib import (BlockKind, ClockSpec, load_tech_config,
                           serialize_tech_config)
 
@@ -262,6 +262,26 @@ def test_synthesis_corpus_pinned(cfg, tables):
         "2463777d61ee8e4a1140a1fcc56b3487b89cf3c2e7a9984a623e81ed91be8f42")
 
 
+def budget_vectors(bounds, minima):
+    """Buffer-count vectors, one count per sub-run between minima and bounds, in
+    increasing total order, lexicographic within a total."""
+    for total in range(sum(minima), sum(bounds) + 1):
+        yield from compositions(total, bounds, minima, 0)
+
+
+def compositions(total, bounds, minima, j):
+    if j == len(bounds) - 1:
+        if minima[j] <= total <= bounds[j]:
+            yield (total,)
+        return
+    rest_min = sum(minima[j + 1:])
+    rest_max = sum(bounds[j + 1:])
+    for b in range(max(minima[j], total - rest_max),
+                   min(bounds[j], total - rest_min) + 1):
+        for tail in compositions(total - b, bounds, minima, j + 1):
+            yield (b,) + tail
+
+
 def schedule(M, K):
     """(register slots, buffer counts) of every candidate, in search order."""
     for r in range(M + 1):
@@ -269,7 +289,7 @@ def schedule(M, K):
         bounds = [0] + reg_pos + [M + 1]
         sub_lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
         minima = [_min_buffers_for_gap(m, K) for m in sub_lens]
-        for budgets in _budget_vectors(sub_lens, minima):
+        for budgets in budget_vectors(sub_lens, minima):
             yield reg_pos, sub_lens, budgets
 
 
@@ -328,6 +348,40 @@ def test_synthesize_matches_reference_search(cfg, tables, spec):
     want = reference_synthesize(spec, tables, cfg)
     for field in ("link", "cost", "counts", "iterations", "valid", "reasons", "log"):
         assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("edits, first", [
+    ((), {"SETUP", "COMB_GT_PERIOD"}),
+    # every candidate, S R ... R S included, has SLEW_RANGE before path reasons
+    ((("slew_legal_min = 4.0", "slew_legal_min = 2.0"),
+      ("slew_legal_max = 40.0", "slew_legal_max = 3.0")), {"SLEW_RANGE"}),
+    # every chain raises: the clock slew is above the table grid
+    ((("cb_s0 = 2.0", "cb_s0 = 50.0"),), {"SlewOutOfRange:"}),
+])
+def test_exhausted_searches_match_reference(cfg, tables, edits, first):
+    """Searches that try candidates and find none valid, which no corpus spec
+    is, equal the reference field by field: lengths 1..12 at periods just
+    above the clock floor, with and without jitter, under the default config
+    and two edited ones.  The reasons are the last candidate's, S R ... R S."""
+    text = serialize_tech_config(cfg)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    other = load_tech_config(text) if edits else cfg
+    ts = build_tables(other) if edits else tables
+    kinds = set()
+    for M in range(1, 13):
+        for T in (9.51, 10.0, 12.0, 15.0):
+            for jitter in (0.0, 1.0):
+                spec = LinkSpec(length_slots=M, period=T, jitter=jitter)
+                got = synthesize_link(spec, ts, other)
+                want = reference_synthesize(spec, ts, other)
+                assert not want.valid and want.iterations > 0, spec
+                assert want.log[-1] == f"S{' R' * M} S -> {'; '.join(want.reasons)}"
+                kinds.add(want.reasons[0].split(" ", 1)[0])
+                for field in SynthesisResult._fields:
+                    assert getattr(got, field) == getattr(want, field), (spec, field)
+    assert kinds == first
 
 
 def linear_max_clock_run(cfg, period):
@@ -409,10 +463,10 @@ def test_sub_run_records_equal_walked_tokens(cfg, tables):
     cs = hasta.clock_slew(cfg)
     raised = 0
     for limit in limits:
-        delay_of = {}  # shared by the keys, as in one synthesize_link call
+        pieces = {}  # shared by the keys, as in one synthesize_link call
         for key in keys:
             steps, delays, text = walked_sub_run(key, limit, cfg)
-            got = synthesize._sub_run_steps(*key, limit, cfg, delay_of)
+            got = synthesize._sub_run_steps(*key, limit, cfg, pieces)
             assert got[0] == steps, (key, limit)
             assert [d.hex() for d in got[1]] == [d.hex() for d in delays], (key, limit)
             assert got[2] == text, (key, limit)
@@ -426,7 +480,7 @@ def test_sub_run_records_equal_walked_tokens(cfg, tables):
                     errors.append(f"{type(exc).__name__}: {exc}")
             path = (hasta.flop_paths(steps, *stages, delays, cfg)[0]
                     if len(stages) == 2 else None)
-            record = synthesize._analyze_sub_run(*key, limit, tables, cfg, delay_of)
+            record = synthesize._analyze_sub_run(*key, limit, tables, cfg, pieces)
             assert repr(tuple(record)) == repr((text, *errors, path)), (key, limit)
             raised += path is None
     assert 0 < raised < len(limits) * len(keys)
@@ -457,24 +511,44 @@ def candidate_keys(M, K, count):
 
 def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
     """One setup-chain evaluation per distinct sub-run (source, destination,
-    slots, buffers) of the candidates tried; a second identical call repeats
-    them all, so nothing is kept between calls."""
+    slots, buffers) of the candidates tried, and one _verdict call per distinct
+    (sub-run, launch token); a second identical call repeats them all, so
+    nothing is kept between calls."""
     calls = Counter()
-    chain = synthesize._chain
+    chain, verdict = synthesize._chain, synthesize._verdict
 
     def counting_chain(steps, ts, mode, purpose, *args):
         calls[purpose] += 1
         return chain(steps, ts, mode, purpose, *args)
 
+    def counting_verdict(*args):
+        calls["verdict"] += 1
+        return verdict(*args)
+
     monkeypatch.setattr(synthesize, "_chain", counting_chain)
-    spec = LinkSpec(length_slots=30, period=60.0)
-    first = synthesize_link(spec, tables, cfg)
-    keys = set().union(*candidate_keys(30, tables.K, first.iterations))
-    assert first.valid and first.counts[2] >= 2 and first.iterations > len(keys)
-    assert calls[LookupPurpose.SETUP_MAX] == len(keys)
-    calls.clear()
-    assert synthesize_link(spec, tables, cfg) == first
-    assert calls[LookupPurpose.SETUP_MAX] == len(keys)
+    monkeypatch.setattr(synthesize, "_verdict", counting_verdict)
+    relaunched = 0
+    # at 9 slots and T = 20 some sub-runs recur, at one launch token, under two r
+    for M, T in ((30, 60.0), (20, 30.0), (9, 20.0)):
+        spec, results, counts = LinkSpec(length_slots=M, period=T), [], []
+        for _ in range(2):
+            calls.clear()
+            results.append(synthesize_link(spec, tables, cfg))
+            counts.append((calls[LookupPurpose.SETUP_MAX], calls["verdict"]))
+        first = results[0]
+        assert results[1] == first
+        keys = set().union(*candidate_keys(M, tables.K, first.iterations))
+        pairs = set()
+        for reg_pos, sub_lens, budgets in islice(schedule(M, tables.K), first.iterations):
+            last = len(sub_lens) - 1
+            pairs.update(((j == 0, j == last, m, b), launch) for j, (m, b, launch)
+                         in enumerate(zip(sub_lens, budgets, [0] + reg_pos)))
+        assert first.valid and first.counts[2] >= 2 and first.iterations > len(pairs)
+        # no chain raised: every record has a path to judge
+        assert not any("Error: " in line or "Range: " in line for line in first.log)
+        assert counts == [(len(keys), len(pairs))] * 2
+        relaunched += len(pairs) > len(keys)
+    assert relaunched  # some sub-run launches from two tokens
 
 
 def test_analysis_and_synthesis_hash_no_enum_member(cfg, tables, monkeypatch):
@@ -504,31 +578,41 @@ def test_analysis_and_synthesis_hash_no_enum_member(cfg, tables, monkeypatch):
 
 def test_stage_delays_evaluated_once_per_distance(cfg, tables, monkeypatch):
     """One call evaluates the NOMINAL clock-stage delay once per distinct
-    stage distance of the sub-runs it builds, and walks no link's tokens."""
+    stage distance of the sub-runs it builds, builds each wire count's segment
+    piece once, and walks no link's tokens."""
     def no_walk(link):
         raise AssertionError("walk_link called")
 
     for module in (grammar, golden, hasta):
         monkeypatch.setattr(module, "walk_link", no_walk)
-    calls = Counter()
+    calls, pieces = Counter(), Counter()
+    segment = synthesize._segment
 
     def counted(n, cfg, corner):
         calls[n, corner] += 1
         return clock_stage_delay(n, cfg, corner)
 
+    def counted_segment(n, *args):
+        pieces[n] += 1
+        return segment(n, *args)
+
     monkeypatch.setattr(synthesize, "clock_stage_delay", counted)
+    monkeypatch.setattr(synthesize, "_segment", counted_segment)
     spec = LinkSpec(length_slots=30, period=60.0)
     res = synthesize_link(spec, tables, cfg)
     monkeypatch.undo()
     assert res.valid and res.counts[2] >= 2
     limit = max_clock_run(cfg, spec.period)
     keys = set().union(*candidate_keys(30, tables.K, res.iterations))
-    distances = set()
+    distances, wires = set(), set()
     for key in keys:
         run = _promote_clock_buffers(LinkSentence(tuple(_sub_run_tokens(*key))), limit)
-        buffers = walk_link(run)[1]
+        steps, buffers = walk_link(run)
         distances.update(j - i for i, j in zip(buffers, buffers[1:]))
+        wires.update(step[2] for step in steps)
     assert limit + 1 in distances and len(distances) > 1
+    assert wires <= set(pieces) and max(wires) > limit
+    assert set(pieces.values()) == {1}
     nominal = Counter({n + 1: count for (n, corner), count in calls.items()
                        if corner is Corner.NOMINAL})
     assert nominal == Counter(distances)
@@ -550,8 +634,8 @@ def test_judged_slacks_equal_analyze_link(cfg, tables):
     assert res.valid and res.counts[2] >= 2
     *_, keys = candidate_keys(40, tables.K, res.iterations)
     limit = max_clock_run(cfg, spec.period)
-    delay_of = {}
-    records = [synthesize._analyze_sub_run(*key, limit, tables, cfg, delay_of)
+    pieces = {}
+    records = [synthesize._analyze_sub_run(*key, limit, tables, cfg, pieces)
                for key in keys]
     assert "S " + " ".join(run.text for run in records) == serialize_link(res.link)
     checks, slews, found = hasta.judge_paths([run.path for run in records],
