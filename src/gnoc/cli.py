@@ -31,8 +31,14 @@ def _load_cfg(path: str):
         return techlib.load_tech_config(fh.read())
 
 
-def _load_tables(path: str, cfg):
-    return chz.load_tables(path, expect_digest=cfg.digest())
+def _load_inputs(args):
+    """The command's tech config and the tables built for it, refused unless
+    their digests and grids agree."""
+    from .hasta import check_tables
+    cfg = _load_cfg(args.tech)
+    ts = chz.load_tables(args.tables, expect_digest=cfg.digest())
+    check_tables(ts, cfg)
+    return cfg, ts
 
 
 def _read_link(path: str):
@@ -62,8 +68,7 @@ def cmd_characterize(args) -> int:
 def cmd_analyze(args) -> int:
     from . import hasta
     _check_launch_slew(args.launch_slew)
-    cfg = _load_cfg(args.tech)
-    ts = _load_tables(args.tables, cfg)
+    cfg, ts = _load_inputs(args)
     link = _read_link(args.link)
     clk = techlib.ClockSpec(period=args.period, jitter=args.jitter)
     report = hasta.analyze_link(link, ts, cfg, clk, mode=LookupMode(args.mode),
@@ -74,20 +79,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     from . import synthesize
-    cfg = _load_cfg(args.tech)
-    ts = _load_tables(args.tables, cfg)
+    cfg, ts = _load_inputs(args)
     spec = synthesize.LinkSpec(length_slots=args.length, period=args.period,
                                jitter=args.jitter)
     result = synthesize.synthesize_link(spec, ts, cfg)
+    if result.valid:  # written first, so a failed write leaves stdout empty
+        text = grammar.serialize_link(result.link)
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
     for line in result.log:
         print(f"try: {line}")
     if not result.valid:
         print(f"unsynthesizable: {'; '.join(result.reasons)}")
         return EXIT_VIOLATIONS
-    with open(args.out, "w") as fh:
-        fh.write(grammar.serialize_link(result.link) + "\n")
     w, b, r = result.counts
-    print(f"result: {grammar.serialize_link(result.link)}")
+    print(f"result: {text}")
     print(f"cost={result.cost:.6g} W={w} B={b} R={r} "
           f"iterations={result.iterations}")
     return EXIT_OK
@@ -97,8 +103,7 @@ def cmd_validate(args) -> int:
     from . import hasta
     _check_launch_slew(args.launch_slew)
     _refuse_unless(args.tol >= 0.0, "tol", ">= 0", args.tol)
-    cfg = _load_cfg(args.tech)
-    ts = _load_tables(args.tables, cfg)
+    cfg, ts = _load_inputs(args)
     link = _read_link(args.link)
     mode = LookupMode(args.mode)
     # by default both sides launch from the grid's first row, which the tables hold
@@ -123,8 +128,7 @@ def cmd_validate(args) -> int:
 def cmd_dse(args) -> int:
     from . import dse
     _refuse_unless(args.count >= 1, "count", ">= 1", args.count)
-    cfg = _load_cfg(args.tech)
-    ts = _load_tables(args.tables, cfg)
+    cfg, ts = _load_inputs(args)
     if args.candidates:
         with open(args.candidates) as fh:
             candidates = dse.parse_candidates(fh.read())
@@ -146,15 +150,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Grid-abutted NoC link timing "
                                              "and synthesis toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    tech = argparse.ArgumentParser(add_help=False)
+    tech.add_argument("--tech", required=True)
+    inputs = argparse.ArgumentParser(add_help=False, parents=[tech])
+    inputs.add_argument("--tables", required=True)
 
-    p = sub.add_parser("characterize", help="build segment tables from a tech config")
-    p.add_argument("--tech", required=True)
+    p = sub.add_parser("characterize", parents=[tech],
+                       help="build segment tables from a tech config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("analyze", help="timing-analyze a link sentence")
-    p.add_argument("--tech", required=True)
-    p.add_argument("--tables", required=True)
+    p = sub.add_parser("analyze", parents=[inputs], help="timing-analyze a link sentence")
     p.add_argument("--link", required=True)
     p.add_argument("--period", type=float, required=True)
     p.add_argument("--jitter", type=float, default=0.0)
@@ -163,18 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--launch-slew", type=float, default=None)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("synthesize", help="synthesize a minimal-cost link")
-    p.add_argument("--tech", required=True)
-    p.add_argument("--tables", required=True)
+    p = sub.add_parser("synthesize", parents=[inputs], help="synthesize a minimal-cost link")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--period", type=float, required=True)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("validate", help="compare table analysis against the oracle")
-    p.add_argument("--tech", required=True)
-    p.add_argument("--tables", required=True)
+    p = sub.add_parser("validate", parents=[inputs],
+                       help="compare table analysis against the oracle")
     p.add_argument("--link", required=True)
     p.add_argument("--mode", choices=[m.value for m in LookupMode],
                    default=LookupMode.INTERPOLATE.value)
@@ -182,9 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.02)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("dse", help="evaluate chip-level candidates")
-    p.add_argument("--tech", required=True)
-    p.add_argument("--tables", required=True)
+    p = sub.add_parser("dse", parents=[inputs], help="evaluate chip-level candidates")
     p.add_argument("--candidates", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)

@@ -208,10 +208,13 @@ def judge_paths(paths: Iterable[FlopPath], clk: ClockSpec, slew_max: float,
 
 
 def check_tables(ts: TableSet, cfg: TechConfig) -> None:
-    """Raise TableMismatch unless ts was built for cfg."""
+    """Raise TableMismatch unless ts was built for cfg, on cfg's grid."""
     if ts.cfg_digest != cfg.digest():
         raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
                             f"analysis cfg is {cfg.digest()}")
+    if ts.K != cfg.K or ts.L != cfg.L:
+        raise TableMismatch(f"tables hold a K={ts.K} L={ts.L} grid, "
+                            f"analysis cfg has K={cfg.K} L={cfg.L}")
 
 
 def clock_slew(cfg: TechConfig) -> float:

@@ -37,7 +37,8 @@ analyze_link chains the whole setup pass before the hold pass, so a candidate
 is refused for its first setup-pass error in sub-run order, else its first
 hold-pass one, else for all its SLEW_RANGE reasons, then all its path reasons,
 as judge_paths orders them.  The winner's tokens are grammar.TOKENS of its
-words.
+words.  An exhausted search ends at S R ... R S, and is_valid gives its
+reasons.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .golden import Corner, clock_stage_delay
 from .grammar import TOKENS, LinkSentence, Step, Token
 from .hasta import (FlopPath, Violation, _chain, analyze_link, check_tables,
                     clock_slew, flop_paths, judge_paths)
-from .techlib import (ACTIVE_KINDS, CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
-                      ClockSpec, TechConfig)
+from .techlib import ACTIVE_KINDS, DEFAULT_SUBTYPE, BlockKind, ClockSpec, TechConfig
 
 
 class _SpecFields(NamedTuple):
@@ -142,10 +142,6 @@ def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,
     return _promote_clock_buffers(link, max_clock_run(cfg, spec.period))
 
 
-_W, _CB_WIRE = (BlockKind.W, DEFAULT_SUBTYPE), (BlockKind.W, CB_SUBTYPE)
-_B, _R, _S = ((kind, DEFAULT_SUBTYPE) for kind in (BlockKind.B, BlockKind.R, BlockKind.S))
-
-
 def _promote_clock_buffers(link: LinkSentence, limit: int) -> LinkSentence:
     """assign_clock_subtypes for a known max_clock_run limit."""
     tokens = []
@@ -155,10 +151,10 @@ def _promote_clock_buffers(link: LinkSentence, limit: int) -> LinkSentence:
             tokens.append(token)
             run = 0
         elif run + 1 > limit:
-            tokens.append(_CB_WIRE)
+            tokens.append(TOKENS["W.cb"])
             run = 0
         else:
-            tokens.append(_W)
+            tokens.append(TOKENS["W"])
             run += 1
     return LinkSentence(tuple(tokens))
 
@@ -188,9 +184,9 @@ def _error_reason(exc: Exception) -> str:
 
 def _sub_run_tokens(src_s: bool, dst_s: bool, m: int, b: int) -> list[Token]:
     """R/S, m slots holding b evenly placed buffers, R/S; no .cb tags."""
-    tokens = [(_R, _S)[src_s], *[_W] * m, (_R, _S)[dst_s]]
+    tokens = [TOKENS["RS"[src_s]], *[TOKENS["W"]] * m, TOKENS["RS"[dst_s]]]
     for p in insert_evenly(m, b):
-        tokens[p] = _B
+        tokens[p] = TOKENS["B"]
     return tokens
 
 
@@ -198,7 +194,7 @@ def _assemble(M: int, reg_pos: list[int], budgets: tuple[int, ...]) -> LinkSente
     """Build S <interior> S with registers at reg_pos and per-sub-run buffers."""
     bounds = [0] + reg_pos + [M + 1]
     last = len(budgets) - 1
-    tokens = [(BlockKind.S, DEFAULT_SUBTYPE)]
+    tokens = [TOKENS["S"]]
     for j, b in enumerate(budgets):
         tokens += _sub_run_tokens(j == 0, j == last, bounds[j + 1] - bounds[j] - 1, b)[1:]
     return LinkSentence(tuple(tokens))
@@ -280,11 +276,11 @@ def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
     return _SubRun(text, setup_error, hold_error, path)
 
 
-def _verdict(path: FlopPath, launch: int, clk: ClockSpec,
-             slew_max: float) -> tuple[list[str], list[str]]:
-    """The SLEW_RANGE reasons and path reasons of a sub-run launched at token launch."""
+def _verdict(path: FlopPath, launch: int, clk: ClockSpec, slew_max: float) -> tuple[str, str]:
+    """The SLEW_RANGE reasons and path reasons of a sub-run launched at token
+    launch, each led by "; "."""
     _, slews, found = judge_paths([path], clk, slew_max, launch)
-    return [_reason(v) for v in slews], [_reason(v) for v in found]
+    return "".join("; " + _reason(v) for v in slews), "".join("; " + _reason(v) for v in found)
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
@@ -308,7 +304,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         prefix and whose levels from j on hold left buffers; the winner's text, or None."""
         row = rows[j]
         for b in range(max(minima[j], left - most[j + 1]), min(lens[j], left - least[j + 1]) + 1):
-            t, s, h, sl, fd, _ = row[b] or part(j, b)
+            t, s, h, sl, fd = row[b] or part(j, b)
             t, s, h, sl, fd = text + t, setup or s, hold or h, slews + sl, found + fd
             if j + 1 < last:
                 won = walk(j + 1, left - b, t, s, h, sl, fd)
@@ -316,7 +312,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
                     return won
                 continue
             # the last level holds what is left
-            t2, s2, h2, sl2, fd2, _ = rows[last][left - b] or part(last, left - b)
+            t2, s2, h2, sl2, fd2 = rows[last][left - b] or part(last, left - b)
             t += t2
             why = s or s2 or h or h2 or (sl + sl2 + fd + fd2)[2:]  # less the first "; "
             log.append(f"{t} -> {why or 'valid'}")
@@ -326,17 +322,15 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
 
     def part(j, b):
         """Level j's part of b buffers: (" " and the record's text, setup error, hold error,
-        SLEW_RANGE and path reasons each led by "; ", the two reason lists)."""
+        SLEW_RANGE and path reasons)."""
         key = (j == 1, j == last, lens[j], b)
         run = records.get(key)
         if run is None:
             run = records[key] = _analyze_sub_run(*key, limit, ts, cfg, pieces)
         if run.path is None:
-            p = (" " + run.text, run.setup_error, run.hold_error, "", "", ([], []))
+            p = (" " + run.text, run.setup_error, run.hold_error, "", "")
         else:
-            slews, found = lists = _verdict(run.path, bounds[j - 1], clk, slew_max)
-            p = (" " + run.text, None, None, "; " + "; ".join(slews) if slews else "",
-                 "; " + "; ".join(found) if found else "", lists)
+            p = (" " + run.text, None, None, *_verdict(run.path, bounds[j - 1], clk, slew_max))
         rows[j][b] = p
         return p
 
@@ -348,7 +342,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         least = [*accumulate(reversed(minima), initial=0)][::-1]  # level j on
         most = [*accumulate(reversed(lens), initial=0)][::-1]
         last = r + 1
-        rows = [[("S", None, None, "", "", ([], []))]]
+        rows = [[("S", None, None, "", "")]]
         rows += [rows_of.setdefault((m, at), [None] * (m + 1)) for m, at in zip(lens[1:], bounds)]
         for total in range(least[0], most[0] + 1):  # by total, then lexicographically
             text = walk(0, total, "", None, None, "", "")
@@ -358,10 +352,9 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
                 return SynthesisResult(link=link, cost=link_cost(link, cfg),
                                        counts=counts, iterations=len(log),
                                        valid=True, log=tuple(log))
-    # exhausted: the last candidate tried is S R ... R S, every sub-run empty
-    parts = [row[0] for row in rows[1:]]
-    error = next(filter(None, [p[1] for p in parts] + [p[2] for p in parts]), None)
-    reasons = (error,) if error else tuple(r for i in (0, 1) for p in parts for r in p[5][i])
+    # exhausted: the last candidate tried is S R ... R S, and its reasons are the result's
+    _, reasons = is_valid(LinkSentence((TOKENS["S"], *[TOKENS["R"]] * M, TOKENS["S"])),
+                          spec, ts, cfg)
     return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
-                           iterations=len(log), valid=False, reasons=reasons,
+                           iterations=len(log), valid=False, reasons=tuple(reasons),
                            log=tuple(log))

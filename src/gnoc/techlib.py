@@ -81,8 +81,8 @@ class _TechFields(NamedTuple):
     L: int
     slew_grid_min: float
     slew_grid_max: float
-    slew_legal_min: float
-    slew_legal_max: float
+    slew_legal_min: float = None  # None: slew_grid_min
+    slew_legal_max: float = None  # None: slew_grid_max
     beta: float = 1.0
     derate_min: float = 0.9
     derate_max: float = 1.1
@@ -96,7 +96,10 @@ class TechConfig(_TechFields):
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
-        return cfg._replace(params=cfg.params or {}, area_cost=cfg.area_cost or {})
+        lo, hi = cfg.slew_legal_min, cfg.slew_legal_max
+        return cfg._replace(slew_legal_min=cfg.slew_grid_min if lo is None else lo,
+                            slew_legal_max=cfg.slew_grid_max if hi is None else hi,
+                            params=cfg.params or {}, area_cost=cfg.area_cost or {})
 
     def digest(self) -> str:
         """Hex digest of the canonical serialization; identifies table provenance."""
@@ -128,29 +131,16 @@ class ClockSpec(_ClockFields):
         return clk
 
 
-# Keys accepted at global scope (before any section) with their defaults;
-# None marks a required key, a key name defaults to that (earlier) key's value.
-_GLOBAL_KEYS = {
-    "pitch_r": None,
-    "pitch_c": None,
-    "K": None,
-    "L": None,
-    "slew_grid_min": None,
-    "slew_grid_max": None,
-    "slew_legal_min": "slew_grid_min",
-    "slew_legal_max": "slew_grid_max",
-    "beta": 1.0,
-    "derate_min": 0.9,
-    "derate_max": 1.1,
-    "cb_surcharge": 1.0,
-    "cb_d0": 4.0,
-    "cb_r_drv": 0.4,
-    "cb_c_in": 0.8,
-    "cb_s0": 2.0,
-}
-
-_CORE_PARAM_KEYS = ("d0", "k_sl", "r_drv", "c_in", "s0", "k_sin", "k_sload")
-_SEQ_PARAM_KEYS = ("d_cq", "t_su", "t_h")
+# The config text's keys, order and defaults are those of the records it
+# fills.  Global scope holds TechConfig's scalar fields, then BlockParams'
+# cb_* fields, the clock-buffer fragment every kind shares; a field without
+# a default is a required key.  A [kind X] section holds area_cost and
+# BlockParams' other fields, of which only sequential kinds need the last
+# three (d_cq, t_su, t_h).
+_CB_KEYS = tuple(key for key in BlockParams._fields if key.startswith("cb_"))
+_BLOCK_KEYS = BlockParams._fields[:-len(_CB_KEYS)]
+_CORE_KEYS = _BLOCK_KEYS[:-3]
+_GLOBAL_KEYS = _TechFields._fields[:-2] + _CB_KEYS  # less params and area_cost
 _DEFAULT_AREA_COST = {BlockKind.W: 1.0, BlockKind.B: 2.0,
                       BlockKind.R: 4.0, BlockKind.S: 20.0}
 
@@ -184,7 +174,7 @@ def load_tech_config(text: str) -> TechConfig:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if current is glob and key not in _GLOBAL_KEYS:
             raise ParseError(f"line {lineno}: unknown global key {key!r}")
-        if current is not glob and key not in _CORE_PARAM_KEYS + _SEQ_PARAM_KEYS + ("area_cost",):
+        if current is not glob and key not in _BLOCK_KEYS + ("area_cost",):
             raise ParseError(f"line {lineno}: unknown block parameter {key!r}")
         try:
             num = int(val) if key in ("K", "L") else float(val)
@@ -192,14 +182,11 @@ def load_tech_config(text: str) -> TechConfig:
             raise ParseError(f"line {lineno}: {key!r} is not a number: {val!r}") from None
         current[key] = num
 
-    for key, default in _GLOBAL_KEYS.items():
-        if key in glob:
-            continue
-        if default is None:
+    for key in _TechFields._fields:
+        if key not in glob and key not in _TechFields._field_defaults:
             raise MissingKey(f"required global key {key!r} missing")
-        glob[key] = glob[default] if isinstance(default, str) else default
 
-    cb = {k: glob.pop(k) for k in ("cb_d0", "cb_r_drv", "cb_c_in", "cb_s0")}
+    cb = {key: glob.pop(key) for key in _CB_KEYS if key in glob}
     params = {}
     area_cost = {}
     for kind in BlockKind:
@@ -210,12 +197,13 @@ def load_tech_config(text: str) -> TechConfig:
             if sec:
                 raise ParseError(f"kind W takes no electrical parameters, got {sorted(sec)}")
             continue
-        for key in _CORE_PARAM_KEYS + (_SEQ_PARAM_KEYS if kind is BlockKind.R else ()):
+        for key in _BLOCK_KEYS if kind is BlockKind.R else _CORE_KEYS:
             if key not in sec:
                 raise MissingKey(f"[kind {kind}] missing required parameter {key!r}")
         params[kind] = BlockParams(**sec, **cb)
 
-    # the cb_* keys are popped: the rest are TechConfig's scalar fields
+    # the cb_* keys are popped: the rest are TechConfig's scalar fields, and
+    # the records supply the defaults of those omitted
     cfg = TechConfig(**glob, params=params, area_cost=area_cost)
     _validate(cfg)
     return cfg
@@ -272,7 +260,7 @@ def serialize_tech_config(cfg: TechConfig) -> str:
     lines = []
     for key in cfg._fields[:-2]:  # the scalar fields, before params and area_cost
         lines.append(f"{key} = {getattr(cfg, key)!r}")
-    for key in ("cb_d0", "cb_r_drv", "cb_c_in", "cb_s0"):
+    for key in _CB_KEYS:
         lines.append(f"{key} = {getattr(anyp, key)!r}")
     for kind in BlockKind:
         lines.append(f"[kind {kind}]")
@@ -280,7 +268,7 @@ def serialize_tech_config(cfg: TechConfig) -> str:
         if kind is BlockKind.W:
             continue
         p = cfg.params[kind]
-        for key in _CORE_PARAM_KEYS + _SEQ_PARAM_KEYS:
+        for key in _BLOCK_KEYS:
             lines.append(f"{key} = {getattr(p, key)!r}")
     return "\n".join(lines) + "\n"
 

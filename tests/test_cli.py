@@ -221,6 +221,37 @@ def test_tables_digest_mismatch(ws, tmp_path, capsys):
     assert rc == 2
 
 
+def tables_on_k5_grid(ws, tmp_path):
+    """The default tables cut to columns 0..4 under a K=5 header: the file is
+    well formed and still names the default config's digest."""
+    head, columns, *records = (ws / "tables.csv").read_text().splitlines(keepends=True)
+    assert " K=10 " in head
+    path = tmp_path / "k5.csv"
+    path.write_text(head.replace(" K=10 ", " K=5 ") + columns
+                    + "".join(rec for rec in records if int(rec.split(",")[4]) < 5))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "synthesize", "dse"])
+def test_tables_on_another_grid_are_usage_error(ws, tmp_path, capsys, command):
+    """Tables whose grid is not the config's are refused by every command that
+    reads tables, though their digest matches; read as they were, 12 slots at
+    T = 100 synthesized a link dearer than the cheapest."""
+    link = write_link(ws, "S W W B W W R W W S", name="grid.gnoc")
+    rest = {"analyze": ["--link", link, "--period", "100"],
+            "validate": ["--link", link],
+            "synthesize": ["--length", "12", "--period", "100",
+                           "--out", str(tmp_path / "x.gnoc")],
+            "dse": ["--count", "2"]}[command]
+    assert main([command, "--tech", str(ws / "tech.cfg"),
+                 "--tables", tables_on_k5_grid(ws, tmp_path), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: tables hold a K=5 L=10 grid, analysis cfg has K=10 L=10"
+            in captured.err)
+    assert not (tmp_path / "x.gnoc").exists()
+
+
 def test_validate_clean(ws, capsys):
     link = write_link(ws, "S W W B W W S")
     assert main(["validate", *args(ws, "--link", link,
@@ -293,6 +324,17 @@ def test_synthesize_writes_link(ws, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "result: S W W W W W B W W W W W S" in captured
     assert out.read_text().strip() == "S W W W W W B W W W W W S"
+
+
+def test_synthesize_failed_write_prints_nothing(ws, tmp_path, capsys):
+    """The link file is written before any line is printed, so a write that
+    fails leaves stdout empty; 12 slots at T = 60 try 13 candidates."""
+    out = tmp_path / "missing" / "x.gnoc"
+    assert main(["synthesize", *args(ws, "--length", "12", "--period", "60",
+                                     "--out", str(out))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
 
 
 def test_synthesize_unsatisfiable(ws, tmp_path, capsys):

@@ -165,6 +165,75 @@ def test_serialize_round_trip(cfg):
     assert again.digest() == cfg.digest()
 
 
+# MINIMAL as written back: every omitted key with its default, in the
+# canonical order; the same text as the default config's
+MINIMAL_SERIALIZED = """\
+pitch_r = 1.0
+pitch_c = 1.0
+K = 10
+L = 10
+slew_grid_min = 4.0
+slew_grid_max = 40.0
+slew_legal_min = 4.0
+slew_legal_max = 40.0
+beta = 1.0
+derate_min = 0.9
+derate_max = 1.1
+cb_surcharge = 1.0
+cb_d0 = 4.0
+cb_r_drv = 0.4
+cb_c_in = 0.8
+cb_s0 = 2.0
+[kind W]
+area_cost = 1.0
+[kind B]
+area_cost = 2.0
+d0 = 5.0
+k_sl = 0.3
+r_drv = 0.5
+c_in = 1.0
+s0 = 2.0
+k_sin = 0.1
+k_sload = 0.2
+d_cq = 0.0
+t_su = 0.0
+t_h = 0.0
+[kind R]
+area_cost = 4.0
+d0 = 5.0
+k_sl = 0.3
+r_drv = 0.5
+c_in = 1.0
+s0 = 2.0
+k_sin = 0.1
+k_sload = 0.2
+d_cq = 8.0
+t_su = 3.0
+t_h = 1.0
+[kind S]
+area_cost = 20.0
+d0 = 12.0
+k_sl = 0.3
+r_drv = 0.7
+c_in = 1.5
+s0 = 3.0
+k_sin = 0.1
+k_sload = 0.2
+d_cq = 0.0
+t_su = 0.0
+t_h = 0.0
+"""
+
+
+def test_serialization_and_digest_pinned(cfg):
+    """The canonical text and the default config's digest, which every table
+    file built from it carries."""
+    minimal = load_tech_config(MINIMAL)
+    assert serialize_tech_config(minimal) == MINIMAL_SERIALIZED
+    assert serialize_tech_config(cfg) == MINIMAL_SERIALIZED
+    assert cfg.digest() == minimal.digest() == "76a69716837c11d3"
+
+
 def test_digest_computed_once(cfg):
     text = serialize_tech_config(cfg)
     assert cfg.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
