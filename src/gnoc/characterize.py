@@ -11,9 +11,10 @@ purpose's corner, as its slew rows, delay rows, slew-out rows and, per
 interval between two adjacent slew rows, the constants that a lookup between
 those rows needs: the interval's width for the linear blend and, when L >= 3,
 the three rows of the quadratic reconstruction with their six pairwise
-differences.  Those depend on the rows only, so both purposes' views of a
-pair share one rows list and one intervals list.  Building and loading end
-in the same constructor.  Off the grid, EXACT chaining needs L >= 3.
+differences.  Every table of a set lies on its config's slew grid, so all 18
+views share one rows list and one intervals list: building and loading end in
+one constructor, and loading refuses a file off that grid.  Between grid rows,
+EXACT chaining needs L >= 3.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
 
-from .errors import (CornerOrderError, DigestMismatch, FormatError,
-                     MonotonicityError, NotOnGrid, SegmentTooLong, SlewOutOfRange)
+from .errors import (CornerOrderError, DigestMismatch, FormatError, MonotonicityError,
+                     NotOnGrid, SegmentTooLong, SlewOutOfRange, TableMismatch)
 from .golden import Corner, StageResult, golden_segment
 from .techlib import ACTIVE_KINDS, BlockKind, TechConfig
 
@@ -63,7 +64,7 @@ class LookupPurpose(Enum):
 class TableView(NamedTuple):
     """One table at one purpose's corner: the only in-memory form of a table.
 
-    Both purposes' views of a pair share one rows list and one intervals list.
+    Every view of a set shares one rows list and one intervals list.
     """
     rows: list          # L ascending slew grid values
     delay: list         # L rows of K delays, column n = n intervening wires
@@ -117,21 +118,25 @@ class TableSet(_TableFields):
                 for purpose in LookupPurpose}
 
 
-def _table_set(rows_by_pair: dict, cells: dict, digest: str) -> TableSet:
-    """The TableSet over rows_by_pair[pair] and cells[pair, corner] = (delay rows,
-    slew-out rows), for every pair of PAIRS."""
-    views = {purpose: [[None] * len(ACTIVE_KINDS) for _ in ACTIVE_KINDS]
-             for purpose in LookupPurpose}
-    for (s, src), (d, dst) in product(enumerate(ACTIVE_KINDS), repeat=2):
-        rows = rows_by_pair[src, dst]
-        # near bounds the grid-row tolerance (1e-9 relative) over every
-        # in-range slew, so view_lookup rules most off-grid slews out in one
-        # comparison
-        near = 1e-9 * max(abs(rows[0]), abs(rows[-1]), 1.0)
-        intervals = [_interval(rows, lo) for lo in range(len(rows) - 1)]
-        for purpose, grid in views.items():
-            grid[s][d] = TableView(rows, *cells[(src, dst), purpose.corner], near, intervals)
-    return TableSet(views, digest)
+def _table_set(rows: list, cells: dict, digest: str) -> TableSet:
+    """The TableSet over the slew rows and cells[pair, corner] = (delay rows,
+    slew-out rows), for every pair of PAIRS; its 18 views share rows and intervals."""
+    # near bounds the grid-row tolerance (1e-9 relative) over every in-range
+    # slew, so view_lookup rules most off-grid slews out in one comparison
+    near = 1e-9 * max(abs(rows[0]), abs(rows[-1]), 1.0)
+    intervals = [_interval(rows, lo) for lo in range(len(rows) - 1)]
+    return TableSet({purpose: [[TableView(rows, *cells[(src, dst), purpose.corner], near,
+                                          intervals) for dst in ACTIVE_KINDS]
+                               for src in ACTIVE_KINDS]
+                     for purpose in LookupPurpose}, digest)
+
+
+def check_tables(ts: TableSet, cfg: TechConfig) -> None:
+    """Raise TableMismatch unless ts was built for cfg: a digest fixes K, L and the
+    slew grid, and build_tables and load_tables make sets on their config's grid."""
+    if ts.cfg_digest != cfg.digest():
+        raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
+                            f"analysis cfg is {cfg.digest()}")
 
 
 def slew_grid(cfg: TechConfig) -> list[float]:
@@ -153,7 +158,7 @@ def build_tables(cfg: TechConfig) -> TableSet:
                    for s in rows]
         cells[(src, dst), corner] = ([[res.delay for res in row] for row in results],
                                      [[res.slew_out for res in row] for row in results])
-    return _table_set(dict.fromkeys(PAIRS, rows), cells, cfg.digest())
+    return _table_set(rows, cells, cfg.digest())
 
 
 def save_tables(ts: TableSet, destination) -> None:
@@ -178,15 +183,16 @@ def _write(ts: TableSet, fh) -> None:
     fh.write("".join(lines))
 
 
-def load_tables(source, expect_digest: str | None = None) -> TableSet:
-    """Read and validate a table file; strict digest check when requested."""
+def load_tables(source, cfg: TechConfig) -> TableSet:
+    """Read and validate a table file (text stream or path) on cfg's grid: another
+    digest, K or L is refused at the header, and a slew_in off its grid row."""
     if hasattr(source, "read"):
-        return _read(source, expect_digest)
+        return _read(source, cfg)
     with open(source, newline="") as fh:
-        return _read(fh, expect_digest)
+        return _read(fh, cfg)
 
 
-def _read(fh, expect_digest) -> TableSet:
+def _read(fh, cfg: TechConfig) -> TableSet:
     header = fh.readline().strip()
     words = header.split()
     if len(words) != 5 or words[0] != FILE_MAGIC:
@@ -199,18 +205,22 @@ def _read(fh, expect_digest) -> TableSet:
         K, L = int(fields["K"]), int(fields["L"])
     except (ValueError, KeyError) as exc:
         raise FormatError(f"malformed table header {header!r}") from exc
-    if expect_digest is not None and digest != expect_digest:
-        raise DigestMismatch(f"tables built for cfg {digest}, expected {expect_digest}")
+    if digest != cfg.digest():
+        raise DigestMismatch(f"tables built for cfg {digest}, expected {cfg.digest()}")
+    if K != cfg.K or L != cfg.L:
+        raise TableMismatch(f"tables hold a K={K} L={L} grid, "
+                            f"analysis cfg has K={cfg.K} L={cfg.L}")
+    # the grid as _write prints it, so loaded tables look up on the file's bits
+    rows = [float(f"{s:.12g}") for s in slew_grid(cfg)]
 
     reader = csv.reader(fh)
     head = next(reader, None)
     if head != COLUMNS.split(","):
         raise FormatError(f"bad CSV column header {head!r}")
 
-    rows_by_pair: dict = {}
     data: dict = {}
-    # (src, dst, corner) as written -> (pair, delay rows, slew-out rows, slew rows),
-    # so the kinds and the corner are resolved and checked once per table
+    # (src, dst, corner) as written -> (delay rows, slew-out rows), so the kinds
+    # and the corner are resolved and checked once per table
     tables: dict = {}
     for rec in reader:
         if not rec:
@@ -229,28 +239,23 @@ def _read(fh, expect_digest) -> TableSet:
                 raise FormatError(f"untabulated corner in table record {rec!r}")
             if src not in ACTIVE_KINDS or dst not in ACTIVE_KINDS:
                 raise FormatError(f"passive block kind in table record {rec!r}")
-            pair = (src, dst)
-            # None marks a cell or row no record has filled yet
-            grids = data[pair, corner] = ([[None] * K for _ in range(L)],
-                                          [[None] * K for _ in range(L)])
-            table = tables[key] = (
-                pair, *grids, rows_by_pair.setdefault(pair, [None] * L))
+            # None marks a cell no record has filled yet
+            table = tables[key] = data[(src, dst), corner] = (
+                [[None] * K for _ in range(L)], [[None] * K for _ in range(L)])
         if not (0 <= i < L and 0 <= n < K):
             raise FormatError(f"cell index out of range in record {rec!r}")
         if not (math.isfinite(slew_in) and math.isfinite(delay) and math.isfinite(slew_out)):
             raise FormatError(f"non-finite value in table record {rec!r}")
-        pair, delays, slews, rows = table
+        delays, slews = table
         if delays[i][n] is not None:
             raise FormatError(f"duplicate table record {rec!r}")
         delays[i][n] = delay
         slews[i][n] = slew_out
-        if rows[i] is not None and rows[i] != slew_in:
-            raise FormatError(f"inconsistent row slew for {pair[0]}->{pair[1]} row {i}")
-        rows[i] = slew_in
+        if slew_in != rows[i]:
+            raise FormatError(f"inconsistent row slew for {rec[0]}->{rec[1]} row {i}")
 
     for pair in PAIRS:
-        rows = rows_by_pair.get(pair)
-        if rows is None or None in rows:
+        if all((pair, corner) not in data for corner in TABLE_CORNERS):
             raise FormatError(f"table {pair[0]}->{pair[1]} missing or incomplete")
         for corner in TABLE_CORNERS:
             entry = data.get((pair, corner))
@@ -258,19 +263,19 @@ def _read(fh, expect_digest) -> TableSet:
                 raise FormatError(f"table {pair[0]}->{pair[1]} missing corner "
                                   f"{corner.value}")
 
-    ts = _table_set(rows_by_pair, data, digest)
+    ts = _table_set(rows, data, digest)
     validate_tables(ts)
     return ts
 
 
 def validate_tables(ts: TableSet) -> None:
     """Enforce structural invariants: ascending rows, corner order, monotonicity."""
+    rows = ts.views[LookupPurpose.SETUP_MAX][0][0].rows  # every view's
+    if not all(a < b for a, b in zip(rows, rows[1:])):
+        raise MonotonicityError("slew rows not strictly ascending")
     for src, dst in PAIRS:
         name = f"{src}->{dst}"
         setup, hold = (table_view(ts, src, dst, purpose) for purpose in LookupPurpose)
-        rows = setup.rows
-        if not all(a < b for a, b in zip(rows, rows[1:])):
-            raise MonotonicityError(f"{name}: slew rows not strictly ascending")
         dmin, dmax = hold.delay, setup.delay
         for i, (lo_row, hi_row) in enumerate(zip(dmin, dmax)):
             for n, (lo, hi) in enumerate(zip(lo_row, hi_row)):

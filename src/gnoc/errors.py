@@ -21,22 +21,24 @@ class MissingKey(GnocError):
 
 # --- link grammar ---
 
-class LexError(GnocError):
+class LinkError(GnocError):
+    """An error in a link sentence, at a token position (None when unknown)."""
+
     def __init__(self, message, position=None):
         super().__init__(message)
         self.position = position
 
 
-class GrammarError(GnocError):
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+class LexError(LinkError):
+    pass
 
 
-class SubtypeError(GnocError):
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+class GrammarError(LinkError):
+    pass
+
+
+class SubtypeError(LinkError):
+    pass
 
 
 # --- characterization tables ---
@@ -46,6 +48,10 @@ class FormatError(GnocError):
 
 
 class DigestMismatch(GnocError):
+    pass
+
+
+class TableMismatch(GnocError):
     pass
 
 
@@ -70,10 +76,6 @@ class NotOnGrid(GnocError):
 
 
 # --- analysis / synthesis ---
-
-class TableMismatch(GnocError):
-    pass
-
 
 class ClockUnsatisfiable(GnocError):
     pass

@@ -47,9 +47,8 @@ from typing import NamedTuple
 
 # table_lookup and reconstruct_lookup stay importable from here; perfbench's
 # tracer wraps them under these names.
-from .characterize import (LookupMode, LookupPurpose, TableSet,
+from .characterize import (LookupMode, LookupPurpose, TableSet, check_tables,
                            reconstruct_lookup, table_lookup, view_lookup)
-from .errors import TableMismatch
 from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
                      clock_stage_delay, clock_stage_delays)
 from .grammar import (Frozen, LinkSentence, Segment, Step, segment_decompose,
@@ -205,16 +204,6 @@ def judge_paths(paths: Iterable[FlopPath], clk: ClockSpec, slew_max: float,
             found += path_violations(launch, capture, s_slack, h_slack, d_max, period)
         launch = capture
     return checks, slews, found
-
-
-def check_tables(ts: TableSet, cfg: TechConfig) -> None:
-    """Raise TableMismatch unless ts was built for cfg, on cfg's grid."""
-    if ts.cfg_digest != cfg.digest():
-        raise TableMismatch(f"tables built for cfg {ts.cfg_digest}, "
-                            f"analysis cfg is {cfg.digest()}")
-    if ts.K != cfg.K or ts.L != cfg.L:
-        raise TableMismatch(f"tables hold a K={ts.K} L={ts.L} grid, "
-                            f"analysis cfg has K={cfg.K} L={cfg.L}")
 
 
 def clock_slew(cfg: TechConfig) -> float:

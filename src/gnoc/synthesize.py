@@ -47,12 +47,12 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .characterize import LookupMode, LookupPurpose, TableSet
+from .characterize import LookupMode, LookupPurpose, TableSet, check_tables
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_stage_delay
 from .grammar import TOKENS, LinkSentence, Step, Token
-from .hasta import (FlopPath, Violation, _chain, analyze_link, check_tables,
-                    clock_slew, flop_paths, judge_paths)
+from .hasta import (FlopPath, Violation, _chain, analyze_link, clock_slew, flop_paths,
+                    judge_paths)
 from .techlib import ACTIVE_KINDS, DEFAULT_SUBTYPE, BlockKind, ClockSpec, TechConfig
 
 

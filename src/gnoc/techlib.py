@@ -32,6 +32,10 @@ class BlockKind(Enum):
 
 ACTIVE_KINDS = (BlockKind.B, BlockKind.R, BlockKind.S)
 
+# the largest K and L: build_tables makes and keeps 2 x 9 x L x K oracle cells,
+# which at K = L = 256 take seconds and over 100 MB
+GRID_MAX = 256
+
 
 class SubtypeTag(NamedTuple):
     """Block sub-type selector.
@@ -210,10 +214,10 @@ def load_tech_config(text: str) -> TechConfig:
 
 
 def _validate(cfg: TechConfig):
-    if cfg.K < 1:
-        raise InvalidValue(f"K must be >= 1, got {cfg.K}")
-    if cfg.L < 2:
-        raise InvalidValue(f"L must be >= 2, got {cfg.L}")
+    if not 1 <= cfg.K <= GRID_MAX:
+        raise InvalidValue(f"K must be in 1..{GRID_MAX}, got {cfg.K}")
+    if not 2 <= cfg.L <= GRID_MAX:
+        raise InvalidValue(f"L must be in 2..{GRID_MAX}, got {cfg.L}")
     for name in ("slew_grid_min", "slew_grid_max", "slew_legal_min", "slew_legal_max",
                  "derate_min", "derate_max"):
         if not math.isfinite(getattr(cfg, name)):

@@ -17,7 +17,7 @@ from gnoc.characterize import (LookupMode, LookupPurpose, TableView, build_table
 from gnoc.cli import main
 from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
                          MonotonicityError, NotOnGrid, SegmentTooLong,
-                         SlewOutOfRange)
+                         SlewOutOfRange, TableMismatch)
 from gnoc.golden import Corner, golden_segment
 from gnoc.grammar import parse_link
 from gnoc.hasta import analyze_path
@@ -63,7 +63,7 @@ def test_save_load_round_trip(cfg, tables):
     buf = io.StringIO()
     save_tables(tables, buf)
     buf.seek(0)
-    again = load_tables(buf)
+    again = load_tables(buf, cfg)
     assert again.cfg_digest == tables.cfg_digest
     assert tables_equal(tables, again, rtol=1e-11)
     # a second write of the loaded set is byte-identical
@@ -71,7 +71,7 @@ def test_save_load_round_trip(cfg, tables):
     save_tables(again, buf2)
     buf3 = io.StringIO()
     buf2.seek(0)
-    save_tables(load_tables(io.StringIO(buf2.getvalue())), buf3)
+    save_tables(load_tables(io.StringIO(buf2.getvalue()), cfg), buf3)
     assert buf2.getvalue() == buf3.getvalue()
 
 
@@ -83,10 +83,10 @@ def test_table_file_bytes_pinned(cfg, L):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == TABLE_FILE_SHA256[L]
 
 
-def test_tables_equal_tolerance(tables):
+def test_tables_equal_tolerance(cfg, tables):
     buf = io.StringIO()
     save_tables(tables, buf)
-    other = load_tables(io.StringIO(buf.getvalue()))
+    other = load_tables(io.StringIO(buf.getvalue()), cfg)
     cells = table_view(other, BlockKind.B, BlockKind.R, LookupPurpose.SETUP_MAX).delay
     cells[3][4] *= 1.0 + 1e-12
     assert tables_equal(tables, other, rtol=1e-11)
@@ -97,7 +97,7 @@ def test_tables_equal_tolerance(tables):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("column", ["slew_in", "delay", "slew_out"])
-def test_non_finite_record_rejected(tables, column, value):
+def test_non_finite_record_rejected(cfg, tables, column, value):
     buf = io.StringIO()
     save_tables(tables, buf)
     lines = buf.getvalue().splitlines()
@@ -108,7 +108,7 @@ def test_non_finite_record_rejected(tables, column, value):
             lines[i] = ",".join(parts)
             break
     with pytest.raises(FormatError) as err:
-        load_tables(io.StringIO("\n".join(lines) + "\n"))
+        load_tables(io.StringIO("\n".join(lines) + "\n"), cfg)
     assert type(err.value) is FormatError
     assert str(err.value) == f"non-finite value in table record {parts!r}"
 
@@ -142,7 +142,7 @@ def test_stray_record_rejected(cfg, tables, tmp_path, capsys, stray):
     lines.insert(i + 1, ",".join(parts))
     text = "\n".join(lines) + "\n"
     with pytest.raises(FormatError) as err:
-        load_tables(io.StringIO(text))
+        load_tables(io.StringIO(text), cfg)
     assert type(err.value) is FormatError
     assert str(err.value) == f"{STRAY[stray]} {parts!r}"
     tech, path = tmp_path / "tech.cfg", tmp_path / "tables.csv"
@@ -225,53 +225,68 @@ REFUSALS = {
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
-def test_table_file_refusal_pinned(tables, case):
+def test_table_file_refusal_pinned(cfg, tables, case):
     """A mutated saved file is refused with a FormatError and this message."""
     edit, message = REFUSALS[case]
     lines = _saved_lines(tables)
     rec = edit(lines)
     with pytest.raises(FormatError) as err:
-        load_tables(io.StringIO("\n".join(lines) + "\n"))
+        load_tables(io.StringIO("\n".join(lines) + "\n"), cfg)
     assert type(err.value) is FormatError
     assert str(err.value) == message.format(rec=rec)
 
 
-def test_blank_lines_are_skipped(tables):
+def test_blank_lines_are_skipped(cfg, tables):
     lines = _saved_lines(tables)
     lines[5:5] = ["", ""]
-    assert tables_equal(load_tables(io.StringIO("\n".join(lines) + "\n\n")), tables,
+    assert tables_equal(load_tables(io.StringIO("\n".join(lines) + "\n\n"), cfg), tables,
                         rtol=1e-11)
 
 
-def test_pairs_may_have_their_own_rows(tables):
-    """A file whose B,B rows sit 0.5 above the other pairs' loads: each pair
-    looks up on its own rows, and both purposes of a pair share them."""
+def test_rows_off_the_config_grid_are_refused(cfg, tables):
+    """Each record's slew_in must be its row of the config's grid: a file whose
+    row 0 reads 3 instead of 4 in every pair is refused, naming the first such
+    row.  Built or loaded, a set's 18 views share one rows list and one
+    intervals list."""
     lines = _saved_lines(tables)
-    for i, line in enumerate(lines):
-        if line.startswith("B,B,"):
-            parts = line.split(",")
-            parts[5] = repr(float(parts[5]) + 0.5)
+    for i, line in enumerate(lines[2:], 2):
+        parts = line.split(",")
+        if parts[3] == "0":
+            assert parts[5] == "4"
+            parts[5] = "3"
             lines[i] = ",".join(parts)
-    ts = load_tables(io.StringIO("\n".join(lines) + "\n"))
-    B, R = BlockKind.B, BlockKind.R
-    for purpose in LookupPurpose:
-        rows, delay, slew_out, _, _ = table_view(ts, B, B, purpose)
-        assert rows[0] == 4.5 and table_view(ts, B, R, purpose)[0][0] == 4.0
-        assert table_lookup(ts, B, B, 3, 4.5, LookupMode.EXACT, purpose) \
-            == (delay[0][3], slew_out[0][3], False)
-        with pytest.raises(NotOnGrid):
-            table_lookup(ts, B, R, 3, 4.5, LookupMode.EXACT, purpose)
-    for pair in product(ACTIVE, ACTIVE):
-        setup, hold = (table_view(ts, *pair, purpose) for purpose in LookupPurpose)
-        assert hold[0] is setup[0] and hold[4] is setup[4]  # rows, intervals
+    with pytest.raises(FormatError) as err:
+        load_tables(io.StringIO("\n".join(lines) + "\n"), cfg)
+    assert type(err.value) is FormatError
+    assert str(err.value) == "inconsistent row slew for B->B row 0"
+    loaded = load_tables(io.StringIO("\n".join(_saved_lines(tables)) + "\n"), cfg)
+    for ts in (tables, loaded):
+        views = [view for grid in ts.views.values() for row in grid for view in row]
+        assert len(views) == 18
+        assert all(view.rows is views[0].rows for view in views)
+        assert all(view.intervals is views[0].intervals for view in views)
 
 
-def test_digest_mismatch(tables):
+def test_oversized_header_refused_before_records(cfg, tables):
+    """A header on another grid is refused before any record is read, so a
+    K of a million allocates nothing, though the digest is the config's."""
+    head, columns, first = _saved_lines(tables)[:3]
+    text = "\n".join([head.replace(" K=10 ", " K=1000000 "), columns, first]) + "\n"
+    with pytest.raises(TableMismatch) as err:
+        load_tables(io.StringIO(text), cfg)
+    assert str(err.value) == "tables hold a K=1000000 L=10 grid, analysis cfg has K=10 L=10"
+
+
+def test_digest_mismatch(cfg, tables):
+    other = load_tech_config(
+        serialize_tech_config(cfg).replace("pitch_r = 1.0", "pitch_r = 2.0"))
     buf = io.StringIO()
     save_tables(tables, buf)
     buf.seek(0)
-    with pytest.raises(DigestMismatch):
-        load_tables(buf, expect_digest="deadbeef")
+    with pytest.raises(DigestMismatch) as err:
+        load_tables(buf, other)
+    assert str(err.value) == (f"tables built for cfg {cfg.digest()}, "
+                              f"expected {other.digest()}")
 
 
 def test_corner_order_error_names_cell(cfg, tables):
@@ -286,7 +301,7 @@ def test_corner_order_error_names_cell(cfg, tables):
             lines[i] = ",".join(parts)
             break
     with pytest.raises(CornerOrderError) as err:
-        load_tables(io.StringIO("\n".join(lines) + "\n"))
+        load_tables(io.StringIO("\n".join(lines) + "\n"), cfg)
     assert "row 3" in str(err.value) and "col 4" in str(err.value)
 
 
@@ -301,7 +316,7 @@ def test_monotonicity_error(cfg, tables):
             lines[i] = ",".join(parts)
             break
     with pytest.raises(MonotonicityError):
-        load_tables(io.StringIO("\n".join(lines) + "\n"))
+        load_tables(io.StringIO("\n".join(lines) + "\n"), cfg)
 
 
 @pytest.mark.parametrize("L", [2, 10, 37])
@@ -310,17 +325,17 @@ def test_built_tables_pass_validation(cfg, L):
     validate_tables(build_tables(with_slew_grid(cfg, L)))
 
 
-def test_version_gate(tables):
+def test_version_gate(cfg, tables):
     buf = io.StringIO()
     save_tables(tables, buf)
     text = buf.getvalue().replace("HASTA-TABLES v1", "HASTA-TABLES v2", 1)
     with pytest.raises(FormatError):
-        load_tables(io.StringIO(text))
+        load_tables(io.StringIO(text), cfg)
 
 
-def test_not_a_table_file():
+def test_not_a_table_file(cfg):
     with pytest.raises(FormatError):
-        load_tables(io.StringIO("hello world\n"))
+        load_tables(io.StringIO("hello world\n"), cfg)
 
 
 def test_lookup_exact_cell(tables):
@@ -505,14 +520,14 @@ def test_off_grid_lookups_equal_reference_arithmetic(tables, tables20, fine, pai
 
 
 @pytest.mark.parametrize("source", ["built", "loaded"])
-def test_views_hold_one_copy_of_each_table(tables, source):
+def test_views_hold_one_copy_of_each_table(cfg, tables, source):
     """ts.views holds one TableView per pair and purpose, and both purposes'
     views of a pair share one rows list and one per-interval list of
     constants taken from the rows."""
     if source == "loaded":
         buf = io.StringIO()
         save_tables(tables, buf)
-        tables = load_tables(io.StringIO(buf.getvalue()))
+        tables = load_tables(io.StringIO(buf.getvalue()), cfg)
     for (s, src), (d, dst) in product(enumerate(ACTIVE), repeat=2):
         views = [table_view(tables, src, dst, purpose) for purpose in LookupPurpose]
         for purpose, view in zip(LookupPurpose, views):

@@ -232,24 +232,43 @@ def tables_on_k5_grid(ws, tmp_path):
     return str(path)
 
 
+def tables_on_rows_off_grid(ws, tmp_path):
+    """The default tables with every row-0 slew_in set from 4 to 3: the header
+    is the default config's, the slew rows are not its grid."""
+    head, columns, *records = (ws / "tables.csv").read_text().splitlines(keepends=True)
+    fields = [rec.split(",") for rec in records]
+    for parts in fields:
+        if parts[3] == "0":
+            assert parts[5] == "4"
+            parts[5] = "3"
+    path = tmp_path / "rows3.csv"
+    path.write_text(head + columns + "".join(",".join(parts) for parts in fields))
+    return str(path)
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate", "synthesize", "dse"])
 def test_tables_on_another_grid_are_usage_error(ws, tmp_path, capsys, command):
     """Tables whose grid is not the config's are refused by every command that
-    reads tables, though their digest matches; read as they were, 12 slots at
-    T = 100 synthesized a link dearer than the cheapest."""
+    reads tables, though their digest matches.  Read as they were, the K=5
+    file made 12 slots at T = 100 synthesize a link dearer than the cheapest,
+    and the file with row 0 at 3 made validate's max_rel_err read 1.18e-2."""
     link = write_link(ws, "S W W B W W R W W S", name="grid.gnoc")
     rest = {"analyze": ["--link", link, "--period", "100"],
             "validate": ["--link", link],
             "synthesize": ["--length", "12", "--period", "100",
                            "--out", str(tmp_path / "x.gnoc")],
             "dse": ["--count", "2"]}[command]
-    assert main([command, "--tech", str(ws / "tech.cfg"),
-                 "--tables", tables_on_k5_grid(ws, tmp_path), *rest]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("error: tables hold a K=5 L=10 grid, analysis cfg has K=10 L=10"
-            in captured.err)
-    assert not (tmp_path / "x.gnoc").exists()
+    for tables, message in (
+            (tables_on_k5_grid(ws, tmp_path),
+             "error: tables hold a K=5 L=10 grid, analysis cfg has K=10 L=10"),
+            (tables_on_rows_off_grid(ws, tmp_path),
+             "error: inconsistent row slew for B->B row 0")):
+        assert main([command, "--tech", str(ws / "tech.cfg"),
+                     "--tables", tables, *rest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not (tmp_path / "x.gnoc").exists()
 
 
 def test_validate_clean(ws, capsys):

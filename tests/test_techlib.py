@@ -103,6 +103,26 @@ def test_k_below_one_rejected():
         load_tech_config(bad)
 
 
+@pytest.mark.parametrize("key", ["K", "L"])
+def test_grid_above_limit_rejected(tmp_path, capsys, key):
+    """K and L are bounded above by GRID_MAX = 256, since build_tables makes
+    one oracle evaluation per cell and keeps every cell; characterize
+    refuses a larger grid with exit 2 and writes nothing."""
+    assert getattr(load_tech_config(MINIMAL.replace(f"{key} = 10", f"{key} = 256")),
+                   key) == 256
+    bad = MINIMAL.replace(f"{key} = 10", f"{key} = 257")
+    low = {"K": 1, "L": 2}[key]
+    message = f"{key} must be in {low}..256, got 257"
+    with pytest.raises(InvalidValue) as err:
+        load_tech_config(bad)
+    assert str(err.value) == message
+    tech, out = tmp_path / "tech.cfg", tmp_path / "tables.csv"
+    tech.write_text(bad)
+    assert main(["characterize", "--tech", str(tech), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_parameter_rejected():
     bad = MINIMAL.replace("d0 = 12.0", "d0 = -1.0")
     with pytest.raises(InvalidValue):
