@@ -27,8 +27,9 @@ from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
 
-from .errors import (CornerOrderError, DigestMismatch, FormatError, MonotonicityError,
-                     NotOnGrid, SegmentTooLong, SlewOutOfRange, TableMismatch)
+from .errors import (CornerOrderError, DigestMismatch, FormatError, InvalidValue,
+                     MonotonicityError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
+                     TableMismatch)
 from .golden import Corner, StageResult, golden_segment
 from .techlib import ACTIVE_KINDS, BlockKind, TechConfig
 
@@ -142,22 +143,30 @@ def check_tables(ts: TableSet, cfg: TechConfig) -> None:
 def slew_grid(cfg: TechConfig) -> list[float]:
     """L evenly spaced slews: row i is i * step + slew_grid_min, the last is slew_grid_max.
 
-    Table files pin this arithmetic to the last bit.
+    Table files pin this arithmetic to the last bit; InvalidValue when two rows
+    coincide at the file's 12 significant digits, which could not tell them apart.
     """
     lo, hi, L = cfg.slew_grid_min, cfg.slew_grid_max, cfg.L
     step = (hi - lo) / (L - 1)
-    return [i * step + lo for i in range(L - 1)] + [hi]
+    rows = [i * step + lo for i in range(L - 1)] + [hi]
+    for i, (a, b) in enumerate(zip(rows, rows[1:])):
+        if not float(f"{a:.12g}") < float(f"{b:.12g}"):
+            raise InvalidValue(f"slew grid rows {i}, {i + 1} coincide at 12 significant digits")
+    return rows
 
 
 def build_tables(cfg: TechConfig) -> TableSet:
-    """Characterize all 9 segment types over the full slew x load grid."""
+    """Characterize all 9 segment types over the full slew x load grid, every cell finite."""
     rows = slew_grid(cfg)
     cells = {}
     for (src, dst), corner in product(PAIRS, TABLE_CORNERS):
         results = [[golden_segment(src, dst, n, s, corner, cfg) for n in range(cfg.K)]
                    for s in rows]
-        cells[(src, dst), corner] = ([[res.delay for res in row] for row in results],
-                                     [[res.slew_out for res in row] for row in results])
+        delays, slews = cells[(src, dst), corner] = (
+            [[res.delay for res in row] for row in results],
+            [[res.slew_out for res in row] for row in results])
+        if not all(map(math.isfinite, chain(*delays, *slews))):
+            raise InvalidValue(f"{src}->{dst}/{corner.value}: non-finite table cell")
     return _table_set(rows, cells, cfg.digest())
 
 
@@ -269,10 +278,7 @@ def _read(fh, cfg: TechConfig) -> TableSet:
 
 
 def validate_tables(ts: TableSet) -> None:
-    """Enforce structural invariants: ascending rows, corner order, monotonicity."""
-    rows = ts.views[LookupPurpose.SETUP_MAX][0][0].rows  # every view's
-    if not all(a < b for a, b in zip(rows, rows[1:])):
-        raise MonotonicityError("slew rows not strictly ascending")
+    """Enforce corner order and monotonicity; slew_grid checks the rows."""
     for src, dst in PAIRS:
         name = f"{src}->{dst}"
         setup, hold = (table_view(ts, src, dst, purpose) for purpose in LookupPurpose)

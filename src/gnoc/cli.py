@@ -17,7 +17,7 @@ import sys
 from . import characterize as chz
 from . import grammar, techlib
 from .characterize import LookupMode, LookupPurpose
-from .errors import ClockUnsatisfiable, GnocError, InvalidValue, NoValidCandidate
+from .errors import GnocError, InvalidValue, NoValidCandidate
 from .golden import Corner, golden_path_analyze
 
 EXIT_OK = 0
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NoValidCandidate, ClockUnsatisfiable) as exc:
+    except NoValidCandidate as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATIONS
     except (GnocError, OSError) as exc:

@@ -10,7 +10,8 @@ the clock-buffer tokens that grammar.walk_link collects in its one walk over
 a link and evaluates each distinct stage length once.  golden_clock_analyze
 sums those delays into a latency at every token and lists every stage span;
 link analysis reads the stage delays alone and builds spans only for late
-stages.
+stages.  The half-period limit lives here too: max_clock_run(T), the most
+unbuffered slots a clock stage may span with its MAX delay below T/2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import Enum
 from operator import sub
 from typing import NamedTuple
 
-from .errors import InvalidValue
+from .errors import ClockUnsatisfiable, InvalidValue
 from .grammar import Frozen, LinkSentence, segment_decompose, walk_link
 from .techlib import ACTIVE_KINDS, BlockKind, TechConfig, block_params
 
@@ -131,6 +132,27 @@ def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
     p = block_params(cfg, BlockKind.B)  # cb_* fields are shared across kinds
     wire = elmore_wire_delay(n, cfg.pitch_r, cfg.pitch_c, p.cb_r_drv, p.cb_c_in)
     return derate(cfg, corner) * (p.cb_d0 + wire)
+
+
+def max_clock_run(cfg: TechConfig, period: float) -> int:
+    """Most unbuffered slots a clock stage may span with its MAX-corner delay below
+    T/2; ClockUnsatisfiable when even back-to-back buffers (zero slots) reach it."""
+    half = period / 2.0
+    if clock_stage_delay(0, cfg, Corner.MAX) >= half:
+        raise ClockUnsatisfiable(
+            f"clock stage with zero unbuffered slots already >= T/2 = {half:.6g}")
+    # the stage delay grows with n (techlib._validate), so the n that fit are
+    # 0..answer: double past the answer, then bisect, lo fitting and hi not
+    lo, hi = 0, 1
+    while clock_stage_delay(hi, cfg, Corner.MAX) < half:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clock_stage_delay(mid, cfg, Corner.MAX) < half:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def clock_stage_delays(buffers: list[int], cfg: TechConfig, corner: Corner,

@@ -125,8 +125,7 @@ def walk_link(link: LinkSentence) -> tuple[list[Step], list[int]]:
     of the segment's destination token in the buffer list.  The buffers are
     the tokens carrying a clock buffer, in token order: every active block
     plus every W.cb.  The link analysis reads both lists directly;
-    segment_steps, segment_decompose and golden.clock_buffer_indices are
-    views of them.
+    segment_decompose and golden.clock_buffer_indices are views of them.
     """
     wire, buffer, index, plain = BlockKind.W, BlockKind.B, ACTIVE_KINDS.index, DEFAULT_SUBTYPE
     steps, buffers = [], []
@@ -144,12 +143,7 @@ def walk_link(link: LinkSentence) -> tuple[list[Step], list[int]]:
     return steps, buffers
 
 
-def segment_steps(link: LinkSentence) -> list[Step]:
-    """The segment steps of walk_link."""
-    return walk_link(link)[0]
-
-
 def segment_decompose(link: LinkSentence) -> list[Segment]:
     """Split a valid link into active-to-active segments covering it exactly."""
     return [Segment(ACTIVE_KINDS[s], ACTIVE_KINDS[d], n, at, at + n + 1)
-            for s, d, n, _, at, _ in segment_steps(link)]
+            for s, d, n, _, at, _ in walk_link(link)[0]]

@@ -20,9 +20,9 @@ slews that rarely repeat; they look up directly.
 Each analyze_link call walks the link's tokens once (grammar.walk_link),
 collecting the segments and the clock-buffer tokens together, and runs the
 clock model once, per distinct stage length rather than per token: it
-yields the NOMINAL delay of each clock stage.  Clock-stage violations are
-judged once per distinct wire gap at the MAX corner; the stage spans are
-built, in token order, only when some gap is late.
+yields the NOMINAL delay of each clock stage.  A clock stage is late past
+golden.max_clock_run(T) unbuffered slots; the stage spans are built, in
+token order, only when the longest stage is late.
 
 Paths are judged in two steps, and synthesis shares both.  flop_paths turns
 the chained stages into one record per flop-to-flop path: (span in tokens,
@@ -49,10 +49,11 @@ from typing import NamedTuple
 # tracer wraps them under these names.
 from .characterize import (LookupMode, LookupPurpose, TableSet, check_tables,
                            reconstruct_lookup, table_lookup, view_lookup)
+from .errors import ClockUnsatisfiable
 from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
-                     clock_stage_delay, clock_stage_delays)
+                     clock_stage_delay, clock_stage_delays, max_clock_run)
 from .grammar import (Frozen, LinkSentence, Segment, Step, segment_decompose,
-                      segment_steps, serialize_link, walk_link)
+                      serialize_link, walk_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
                       block_params)
 
@@ -262,39 +263,38 @@ def analyze_path(link: LinkSentence, ts: TableSet, launch_slew: float,
     a grid row; chained slews that drift off the grid are served by the
     quantization-free table reconstruction.
     """
-    stages = _chain(segment_steps(link), ts, mode, purpose, launch_slew)
+    stages = _chain(walk_link(link)[0], ts, mode, purpose, launch_slew)
     return PathResult(stages=tuple(stages),
                       arrivals=tuple(accumulate(map(attrgetter("delay"), stages))))
 
 
-def _clock_violations(buffers: list[int], distances: Iterable[int], cfg: TechConfig,
+def _clock_violations(buffers: list[int], longest: int, cfg: TechConfig,
                       clk: ClockSpec) -> list[Violation]:
     """CLOCK_UNBUFFERED violations of a link's clock stages, in token order.
 
-    buffers are the link's clock-buffer tokens in token order; distances
-    holds each distinct token distance between consecutive buffers, judged
-    once by its MAX-corner stage delay.  Spans are built only when some
-    stage is late.
+    buffers are the link's clock-buffer tokens in token order, longest their
+    greatest gap.  A stage spanning n tokens is late when n - 1 > max_clock_run(T),
+    taken as -1 when even zero slots reach T/2.
     """
-    half = clk.period / 2.0
-    late = {}  # token distance between a stage's buffers -> its late delay
-    for n in distances:
-        d = clock_stage_delay(n - 1, cfg, Corner.MAX)
-        if d >= half:
-            late[n] = d
-    if not late:
+    try:
+        limit = max_clock_run(cfg, clk.period)
+    except ClockUnsatisfiable:
+        limit = -1
+    if longest - 1 <= limit:
         return []
+    half = clk.period / 2.0
     return [Violation(ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
                       f"tokens {a}..{b}",
-                      f"clock stage delay {late[b - a]:.6g} >= T/2 = {half:.6g}")
-            for a, b in zip(buffers, buffers[1:]) if b - a in late]
+                      f"clock stage delay {clock_stage_delay(b - a - 1, cfg, Corner.MAX):.6g}"
+                      f" >= T/2 = {half:.6g}")
+            for a, b in zip(buffers, buffers[1:]) if b - a - 1 > limit]
 
 
 def clock_check(link: LinkSentence, cfg: TechConfig,
                 clk: ClockSpec) -> list[Violation]:
     """Flag every clock stage whose MAX-corner delay reaches half the period."""
     buffers = clock_buffer_indices(link)
-    return _clock_violations(buffers, set(map(sub, buffers[1:], buffers)), cfg, clk)
+    return _clock_violations(buffers, max(map(sub, buffers[1:], buffers)), cfg, clk)
 
 
 def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
@@ -316,7 +316,7 @@ def analyze_link(link: LinkSentence, ts: TableSet, cfg: TechConfig,
     paths = flop_paths(steps, setup_stages, hold_stages,
                        list(map(signed.__getitem__, map(sub, buffers[1:], buffers))), cfg)
     checks, slews, found = judge_paths(paths, clk, cfg.slew_legal_max)
-    violations = slews + found + _clock_violations(buffers, delay_of, cfg, clk)
+    violations = slews + found + _clock_violations(buffers, max(delay_of), cfg, clk)
     return TimingReport(
         link=link, mode=mode, clock=clk, setup_stages=tuple(setup_stages),
         hold_stages=tuple(hold_stages), paths=tuple(map(PathCheck._make, checks)),

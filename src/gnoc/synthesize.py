@@ -8,12 +8,11 @@ solution: register count first, then total buffer count.  Every candidate
 tried is logged with its verdict.
 
 Clock-buffer sub-types follow a greedy rule: no clock stage may span more
-than max_clock_run(T) unbuffered slots, the most whose MAX-corner delay stays
-below T/2.  The limit depends only on the period, so it is found once per
-call; when even a zero-slot stage reaches T/2 no candidate can be valid, and
-the spec is refused for ClockUnsatisfiable before any is tried.  Otherwise no
-promoted candidate has a clock stage at T/2, since the stage delay grows with
-the slot count.
+than golden.max_clock_run(T) unbuffered slots.  The limit depends only on the
+period, so it is found once per call; when even a zero-slot stage reaches T/2
+no candidate can be valid, and the spec is refused for ClockUnsatisfiable
+before any is tried.  Otherwise no promoted candidate has a clock stage at
+T/2, since the stage delay grows with the slot count.
 
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
 sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
@@ -49,7 +48,7 @@ from typing import NamedTuple
 
 from .characterize import LookupMode, LookupPurpose, TableSet, check_tables
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
-from .golden import Corner, clock_stage_delay
+from .golden import Corner, clock_stage_delay, max_clock_run
 from .grammar import TOKENS, LinkSentence, Step, Token
 from .hasta import (FlopPath, Violation, _chain, analyze_link, clock_slew, flop_paths,
                     judge_paths)
@@ -105,30 +104,6 @@ def link_cost(link: LinkSentence, cfg: TechConfig) -> float:
         if sub is not DEFAULT_SUBTYPE and sub.clock_buffered:
             total += surcharge
     return total
-
-
-def max_clock_run(cfg: TechConfig, period: float) -> int:
-    """Largest unbuffered slot count a clock stage tolerates at MAX corner.
-
-    Raises ClockUnsatisfiable when even back-to-back buffers (zero slots)
-    breach the half-period bound.
-    """
-    half = period / 2.0
-    if clock_stage_delay(0, cfg, Corner.MAX) >= half:
-        raise ClockUnsatisfiable(
-            f"clock stage with zero unbuffered slots already >= T/2 = {half:.6g}")
-    # the stage delay grows with n (techlib._validate), so the n that fit are
-    # 0..answer: double past the answer, then bisect, lo fitting and hi not
-    lo, hi = 0, 1
-    while clock_stage_delay(hi, cfg, Corner.MAX) < half:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clock_stage_delay(mid, cfg, Corner.MAX) < half:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def assign_clock_subtypes(link: LinkSentence, spec: LinkSpec,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gnoc
+from gnoc import characterize
 from gnoc.cli import main
 from gnoc.techlib import serialize_tech_config
 
@@ -269,6 +270,59 @@ def test_tables_on_another_grid_are_usage_error(ws, tmp_path, capsys, command):
         assert captured.out == ""
         assert message in captured.err
         assert not (tmp_path / "x.gnoc").exists()
+
+
+COINCIDING_ROWS = (("L = 10", "L = 5"), ("slew_grid_max = 40.0", "slew_grid_max = 4.00000000001"))
+
+
+def variant_config(ws, tmp_path, *edits):
+    """The default tech config with each (old, new) edit applied, on disk."""
+    text = (ws / "tech.cfg").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    tech = tmp_path / "variant.cfg"
+    tech.write_text(text)
+    return str(tech)
+
+
+@pytest.mark.parametrize("edits,message", [
+    (COINCIDING_ROWS, "error: slew grid rows 0, 1 coincide at 12 significant digits"),
+    ((("pitch_r = 1.0", "pitch_r = 1e307"),), "error: B->B/min: non-finite table cell"),
+], ids=["coinciding-rows", "non-finite-cells"])
+def test_characterize_refuses_tables_no_command_reads(ws, tmp_path, capsys, edits,
+                                                      message):
+    """A grid whose rows the file's 12 digits cannot tell apart, or cells that are
+    not finite, once made characterize exit 0 with a file every command refused."""
+    out = tmp_path / "t.csv"
+    assert main(["characterize", "--tech", variant_config(ws, tmp_path, *edits),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_tables_on_coinciding_rows_refused_at_header(ws, tmp_path, monkeypatch, capsys):
+    """A file characterized before the grid check, its rows 0-1 written as 4 and
+    rows 2-4 as 4.00000000001, is refused for its grid before a record is read."""
+    def unchecked_slew_grid(cfg):
+        step = (cfg.slew_grid_max - cfg.slew_grid_min) / (cfg.L - 1)
+        return [i * step + cfg.slew_grid_min for i in range(cfg.L - 1)] + [cfg.slew_grid_max]
+
+    tech, tables = variant_config(ws, tmp_path, *COINCIDING_ROWS), tmp_path / "t.csv"
+    monkeypatch.setattr(characterize, "slew_grid", unchecked_slew_grid)
+    assert main(["characterize", "--tech", tech, "--out", str(tables)]) == 0
+    monkeypatch.undo()
+    records = tables.read_text().splitlines()[2:]
+    assert {r.split(",")[5] for r in records} == {"4", "4.00000000001"}
+    capsys.readouterr()
+    link = write_link(ws, "S W W B W W S", name="rows.gnoc")
+    assert main(["analyze", "--tech", tech, "--tables", str(tables), "--link", link,
+                 "--period", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: slew grid rows 0, 1 coincide at 12 significant digits" in captured.err
 
 
 def test_validate_clean(ws, capsys):

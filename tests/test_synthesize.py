@@ -4,7 +4,7 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -419,6 +419,29 @@ def edge_periods(cfg):
         edge = 2.0 * clock_stage_delay(n, cfg, Corner.MAX)
         periods += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     return [T for T in periods if T > 2.0 * clock_stage_delay(0, cfg, Corner.MAX)]
+
+
+def test_clock_check_flags_stages_past_max_clock_run(cfg):
+    """At each edge period and one below the clock floor, over one link whose
+    stages span token distances 30 down to 1 and back up: clock_check flags a
+    stage exactly when its distance - 1 exceeds max_clock_run, every stage
+    below the floor, and exactly the stages whose MAX delay reaches T/2."""
+    distances = [*range(30, 0, -1), *range(1, 31)]
+    link = parse_link("S " + " ".join("W " * (n - 1) + "B" for n in distances[:-1])
+                      + " W" * (distances[-1] - 1) + " S")
+    buffers = [0, *accumulate(distances)]
+    stages = [f"tokens {a}..{b}" for a, b in zip(buffers, buffers[1:])]
+    below = math.nextafter(2.0 * clock_stage_delay(0, cfg, Corner.MAX), 0.0)
+    with pytest.raises(ClockUnsatisfiable):
+        max_clock_run(cfg, below)
+    for T in [below, *edge_periods(cfg)]:
+        limit = -1 if T == below else max_clock_run(cfg, T)
+        want = [s for s, n in zip(stages, distances) if n - 1 > limit]
+        assert want == [s for s, n in zip(stages, distances)
+                        if clock_stage_delay(n - 1, cfg, Corner.MAX) >= T / 2.0]
+        assert [v.location for v in clock_check(link, cfg, ClockSpec(period=T))] == want, T
+        if T == below:
+            assert want == stages
 
 
 def test_promoted_sub_runs_have_no_late_clock_stage(cfg, tables):
