@@ -15,23 +15,19 @@ before any is tried.  Otherwise no promoted candidate has a clock stage at
 T/2, since the stage delay grows with the slot count.
 
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
-sub-run is the wires and buffers between two consecutive R/S blocks.  Inside
-one synthesize_link call each sub-run is analyzed once, keyed by (its source
-is S, its destination is S, its slot count, its buffer count).  Its record is
-built from its block positions, with no tokens: a segment of n wires holds
-k, rest = divmod(n, limit + 1) W.cb, and the text, clock-stage delays and
-buffer count of each n are built once per call.  A record keeps the text, and
-each raising chain's error or else the one flop-to-flop path as a
-hasta.flop_paths record, chained from the clock slew as analyze_link
-relaunches every PESSIMISTIC path.
-
-For one r the sub-run lengths and launch tokens are fixed, so each (sub-run,
-buffer count) is a part, built once per call: its text, chain errors, and
-SLEW_RANGE and path reasons, judged by hasta.judge_paths at its launch token
-and joined once.  A record holds all a verdict needs, skew included, so the
-verdicts are is_valid's bit for bit.  The budget vectors are walked depth
-first, by total then lexicographically, each level carrying its prefix's text,
-first setup and hold errors and reasons: a candidate costs a few string joins.
+sub-run is the wires and buffers between two consecutive R/S blocks.  For one
+r the sub-run lengths and launch tokens are fixed, so each (sub-run, buffer
+count) is a part, built once per r from its block positions, with no tokens:
+a segment of n wires holds k, rest = divmod(n, limit + 1) W.cb, and the
+text, clock-stage delays and buffer count of each n are built once per call.
+A part is the sub-run's text and each raising chain's error, or else the
+SLEW_RANGE and path reasons of its one flop-to-flop path, chained from the
+clock slew as analyze_link relaunches every PESSIMISTIC path and judged by
+hasta.judge_paths at its launch token.  The path record carries its own skew,
+so the verdicts are is_valid's bit for bit.  The budget vectors are walked
+depth first, by total then lexicographically, each level carrying its
+prefix's text, first setup and hold errors and reasons: a candidate costs a
+few string joins.
 analyze_link chains the whole setup pass before the hold pass, so a candidate
 is refused for its first setup-pass error in sub-run order, else its first
 hold-pass one, else for all its SLEW_RANGE reasons, then all its path reasons,
@@ -50,8 +46,7 @@ from .characterize import LookupMode, LookupPurpose, TableSet, check_tables
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_stage_delay, max_clock_run
 from .grammar import TOKENS, LinkSentence, Step, Token
-from .hasta import (FlopPath, Violation, _chain, analyze_link, clock_slew, flop_paths,
-                    judge_paths)
+from .hasta import Violation, _chain, analyze_link, clock_slew, flop_paths, judge_paths
 from .techlib import ACTIVE_KINDS, DEFAULT_SUBTYPE, BlockKind, ClockSpec, TechConfig
 
 
@@ -184,15 +179,6 @@ def _min_buffers_for_gap(m: int, K: int) -> int:
     return -(-(m + 1) // K) - 1
 
 
-class _SubRun(NamedTuple):
-    """What a candidate reads of one of its sub-runs, wherever the sub-run sits."""
-
-    text: str                  # its tokens after the source, .cb promoted
-    setup_error: str | None    # the setup chain's error reason, None when it ran
-    hold_error: str | None     # the hold chain's
-    path: FlopPath | None      # hasta.flop_paths record; None when a chain raised
-
-
 _B_INDEX, *_END_INDEX = map(ACTIVE_KINDS.index, (BlockKind.B, BlockKind.R, BlockKind.S))
 
 
@@ -238,24 +224,22 @@ def _chain_from_clock(steps: list, ts: TableSet, purpose: LookupPurpose,
         return [], _error_reason(exc)
 
 
-def _analyze_sub_run(src_s: bool, dst_s: bool, m: int, b: int, limit: int,
-                     ts: TableSet, cfg: TechConfig, pieces: dict) -> _SubRun:
-    """The record of a sub-run.  When a chain raised it has no path: a
-    candidate holding the sub-run is refused for the error."""
+def _part(src_s: bool, dst_s: bool, m: int, b: int, launch: int, limit: int,
+          clk: ClockSpec, ts: TableSet, cfg: TechConfig, pieces: dict) -> tuple:
+    """A sub-run of m slots and b buffers launched at token launch: (" " and its
+    text, setup error, hold error, SLEW_RANGE and path reasons, each led by "; ").
+    When a chain raised there are no reasons: a candidate holding the sub-run is
+    refused for the error."""
     steps, stage_delays, text = _sub_run_steps(src_s, dst_s, m, b, limit, cfg, pieces)
     cs = clock_slew(cfg)
     setup, setup_error = _chain_from_clock(steps, ts, LookupPurpose.SETUP_MAX, cs)
     hold, hold_error = _chain_from_clock(steps, ts, LookupPurpose.HOLD_MIN, cs)
-    path = (flop_paths(steps, setup, hold, stage_delays, cfg)[0]
-            if setup_error is None and hold_error is None else None)
-    return _SubRun(text, setup_error, hold_error, path)
-
-
-def _verdict(path: FlopPath, launch: int, clk: ClockSpec, slew_max: float) -> tuple[str, str]:
-    """The SLEW_RANGE reasons and path reasons of a sub-run launched at token
-    launch, each led by "; "."""
-    _, slews, found = judge_paths([path], clk, slew_max, launch)
-    return "".join("; " + _reason(v) for v in slews), "".join("; " + _reason(v) for v in found)
+    if setup_error or hold_error:
+        return " " + text, setup_error, hold_error, "", ""
+    paths = flop_paths(steps, setup, hold, stage_delays, cfg)
+    _, slews, found = judge_paths(paths, clk, cfg.slew_legal_max, launch)
+    return (" " + text, None, None, "".join("; " + _reason(v) for v in slews),
+            "".join("; " + _reason(v) for v in found))
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
@@ -268,10 +252,8 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
                                iterations=0, valid=False,
                                reasons=(f"ClockUnsatisfiable: {exc}",))
     check_tables(ts, cfg)
-    clk, slew_max = spec.clock, cfg.slew_legal_max
-    records: dict = {}  # sub-run key -> _SubRun
+    clk = spec.clock
     pieces: dict = {}  # wire count -> _segment
-    rows_of: dict = {}  # (slots, launch token) -> parts by buffer count
     log: list[str] = []
 
     def walk(j, left, text, setup, hold, slews, found):
@@ -296,17 +278,9 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         return None
 
     def part(j, b):
-        """Level j's part of b buffers: (" " and the record's text, setup error, hold error,
-        SLEW_RANGE and path reasons)."""
-        key = (j == 1, j == last, lens[j], b)
-        run = records.get(key)
-        if run is None:
-            run = records[key] = _analyze_sub_run(*key, limit, ts, cfg, pieces)
-        if run.path is None:
-            p = (" " + run.text, run.setup_error, run.hold_error, "", "")
-        else:
-            p = (" " + run.text, None, None, *_verdict(run.path, bounds[j - 1], clk, slew_max))
-        rows[j][b] = p
+        """Level j's part of b buffers, kept for the rest of this r."""
+        p = rows[j][b] = _part(j == 1, j == last, lens[j], b, bounds[j - 1], limit, clk,
+                               ts, cfg, pieces)
         return p
 
     for r in range(M + 1):
@@ -318,7 +292,7 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         most = [*accumulate(reversed(lens), initial=0)][::-1]
         last = r + 1
         rows = [[("S", None, None, "", "")]]
-        rows += [rows_of.setdefault((m, at), [None] * (m + 1)) for m, at in zip(lens[1:], bounds)]
+        rows += [[None] * (m + 1) for m in lens[1:]]
         for total in range(least[0], most[0] + 1):  # by total, then lexicographically
             text = walk(0, total, "", None, None, "", "")
             if text is not None:

@@ -3,7 +3,8 @@
 All quantities are in abstract units: tu (time), ru (resistance), cu
 (capacitance), su (slew).  The config file is line-oriented ``key = value``
 text with ``[kind X]`` sections; see ``data/default_tech.cfg`` for the
-shipped defaults.
+shipped defaults.  A key given twice in one scope, or a section given twice,
+is refused (ParseError) rather than letting the last one win.
 """
 
 from __future__ import annotations
@@ -168,7 +169,9 @@ def load_tech_config(text: str) -> TechConfig:
                 kind = BlockKind(words[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: unknown block kind {words[1]!r}") from None
-            current = sections.setdefault(kind, {})
+            if kind in sections:
+                raise ParseError(f"line {lineno}: repeated section [kind {kind}]")
+            current = sections[kind] = {}
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -180,6 +183,8 @@ def load_tech_config(text: str) -> TechConfig:
             raise ParseError(f"line {lineno}: unknown global key {key!r}")
         if current is not glob and key not in _BLOCK_KEYS + ("area_cost",):
             raise ParseError(f"line {lineno}: unknown block parameter {key!r}")
+        if key in current:
+            raise ParseError(f"line {lineno}: repeated key {key!r}")
         try:
             num = int(val) if key in ("K", "L") else float(val)
         except ValueError:

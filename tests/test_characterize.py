@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ACTIVE
+from conftest import ACTIVE, tech_configs
 from gnoc.characterize import (LookupMode, LookupPurpose, TableView, build_tables,
                                load_tables, reconstruct_lookup, save_tables,
                                slew_grid, table_lookup, table_view, tables_equal,
@@ -73,6 +73,22 @@ def test_save_load_round_trip(cfg, tables):
     buf2.seek(0)
     save_tables(load_tables(io.StringIO(buf2.getvalue()), cfg), buf3)
     assert buf2.getvalue() == buf3.getvalue()
+
+
+@given(drawn=tech_configs())
+@settings(max_examples=20, deadline=None)
+def test_random_config_tables_round_trip(drawn):
+    """Under random configs, tables written and read back on their config's
+    grid equal the built ones to file precision, and write the same bytes."""
+    tables = build_tables(drawn)
+    buf = io.StringIO()
+    save_tables(tables, buf)
+    again = load_tables(io.StringIO(buf.getvalue()), drawn)
+    assert again.cfg_digest == tables.cfg_digest == drawn.digest()
+    assert tables_equal(tables, again, rtol=1e-11)
+    buf2 = io.StringIO()
+    save_tables(again, buf2)
+    assert buf2.getvalue() == buf.getvalue()
 
 
 @pytest.mark.parametrize("L", sorted(TABLE_FILE_SHA256))

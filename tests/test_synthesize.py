@@ -25,7 +25,7 @@ from gnoc.synthesize import (LinkSpec, SynthesisResult, _assemble,
 from gnoc.techlib import (BlockKind, ClockSpec, load_tech_config,
                           serialize_tech_config)
 
-from conftest import random_link
+from conftest import random_link, tech_configs
 
 
 def test_insert_evenly_examples():
@@ -350,6 +350,25 @@ def test_synthesize_matches_reference_search(cfg, tables, spec):
         assert getattr(got, field) == getattr(want, field), field
 
 
+@given(drawn=tech_configs(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_synthesize_matches_reference_under_random_configs(drawn, data):
+    """Under random configs, where chain errors and SLEW_RANGE reasons are
+    common, the search equals the reference field by field for one length
+    up to 12 slots, at a tight and a loose period, with and without jitter."""
+    ts = build_tables(drawn)
+    floor = 2.0 * clock_stage_delay(0, drawn, Corner.MAX)
+    M = data.draw(st.integers(1, 12), label="M")
+    tight = floor * math.exp(data.draw(st.floats(0.0, 1.0), label="tight"))
+    loose = floor * math.exp(data.draw(st.floats(2.0, 3.5), label="loose"))
+    for T in (tight, loose):
+        for jitter in (0.0, 0.1 * floor):
+            spec = LinkSpec(length_slots=M, period=T, jitter=jitter)
+            got, want = synthesize_link(spec, ts, drawn), reference_synthesize(spec, ts, drawn)
+            for field in SynthesisResult._fields:
+                assert getattr(got, field) == getattr(want, field), (spec, field)
+
+
 @pytest.mark.parametrize("edits, first", [
     ((), {"SETUP", "COMB_GT_PERIOD"}),
     # every candidate, S R ... R S included, has SLEW_RANGE before path reasons
@@ -473,19 +492,41 @@ def walked_sub_run(key, limit, cfg):
     return steps, delays, serialize_link(LinkSentence(run.tokens[1:]))
 
 
-def test_sub_run_records_equal_walked_tokens(cfg, tables):
+def walked_part(steps, delays, text, launch, clk, tables, cfg):
+    """synthesize._part's tuple for walked steps, stage delays and text: the
+    chains from the clock slew, then the path judged from token launch."""
+    cs = hasta.clock_slew(cfg)
+    stages, errors = [], []
+    for purpose in (LookupPurpose.SETUP_MAX, LookupPurpose.HOLD_MIN):
+        try:
+            stages.append(hasta._chain(steps, tables, LookupMode.PESSIMISTIC, purpose, cs, cs))
+            errors.append(None)
+        except (SegmentTooLong, SlewOutOfRange) as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+    if len(stages) < 2:
+        return (" " + text, *errors, "", "")
+    paths = hasta.flop_paths(steps, *stages, delays, cfg)
+    _, slews, found = hasta.judge_paths(paths, clk, cfg.slew_legal_max, launch)
+    return (" " + text, None, None,
+            *("".join(f"; {v.kind.value} at {v.location}: {v.detail}" for v in reasons)
+              for reasons in (slews, found)))
+
+
+def test_sub_run_parts_equal_walked_tokens(cfg, tables):
     """Every sub-run synthesis forms (either end S or R, up to 3 K slots,
-    every buffer count), at every limit of the edge periods and at 0: the
+    every buffer count), at every limit of the edge periods, 0 included: the
     steps, stage delays (bit for bit) and text built from block positions
-    equal walk_link's over the promoted tokens, and so do the path record
-    and the chain errors of the record."""
-    limits = sorted({0} | {max_clock_run(cfg, T) for T in edge_periods(cfg)})
-    assert limits == list(range(30))
+    equal walk_link's over the promoted tokens, and the part equals those
+    tokens chained and judged, launched at token 0 under even limits and at
+    token 7 under odd ones."""
+    clocks = {}  # each limit at its loosest edge period
+    for T in edge_periods(cfg):
+        clocks[max_clock_run(cfg, T)] = ClockSpec(period=T, jitter=0.5)
+    assert sorted(clocks) == list(range(30))
     keys = [(src_s, dst_s, m, b) for src_s in (False, True) for dst_s in (False, True)
             for m in range(3 * tables.K + 1) for b in range(m + 1)]
-    cs = hasta.clock_slew(cfg)
-    raised = 0
-    for limit in limits:
+    outcomes = Counter()
+    for limit, clk in clocks.items():
         pieces = {}  # shared by the keys, as in one synthesize_link call
         for key in keys:
             steps, delays, text = walked_sub_run(key, limit, cfg)
@@ -493,20 +534,12 @@ def test_sub_run_records_equal_walked_tokens(cfg, tables):
             assert got[0] == steps, (key, limit)
             assert [d.hex() for d in got[1]] == [d.hex() for d in delays], (key, limit)
             assert got[2] == text, (key, limit)
-            stages, errors = [], []
-            for purpose in (LookupPurpose.SETUP_MAX, LookupPurpose.HOLD_MIN):
-                try:
-                    stages.append(hasta._chain(steps, tables, LookupMode.PESSIMISTIC,
-                                               purpose, cs, cs))
-                    errors.append(None)
-                except (SegmentTooLong, SlewOutOfRange) as exc:
-                    errors.append(f"{type(exc).__name__}: {exc}")
-            path = (hasta.flop_paths(steps, *stages, delays, cfg)[0]
-                    if len(stages) == 2 else None)
-            record = synthesize._analyze_sub_run(*key, limit, tables, cfg, pieces)
-            assert repr(tuple(record)) == repr((text, *errors, path)), (key, limit)
-            raised += path is None
-    assert 0 < raised < len(limits) * len(keys)
+            launch = 7 * (limit % 2)
+            part = synthesize._part(*key, launch, limit, clk, tables, cfg, pieces)
+            assert part == walked_part(steps, delays, text, launch, clk, tables, cfg), \
+                (key, limit)
+            outcomes["raised" if part[1] or part[2] else "refused" if part[4] else "valid"] += 1
+    assert len(outcomes) == 3 and sum(outcomes.values()) == len(clocks) * len(keys)
 
 
 def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
@@ -532,46 +565,44 @@ def candidate_keys(M, K, count):
         yield [(j == 0, j == last, m, b) for j, (m, b) in enumerate(zip(sub_lens, budgets))]
 
 
-def test_sub_runs_analyzed_once_per_call(cfg, tables, monkeypatch):
-    """One setup-chain evaluation per distinct sub-run (source, destination,
-    slots, buffers) of the candidates tried, and one _verdict call per distinct
-    (sub-run, launch token); a second identical call repeats them all, so
-    nothing is kept between calls."""
+def test_parts_built_once_per_register_count(cfg, tables, monkeypatch):
+    """One setup-chain evaluation and one part per distinct (register count,
+    level, buffers) of the candidates tried; a second identical call repeats
+    them all, so nothing is kept between calls, and a sub-run that recurs
+    under two register counts is built under each."""
     calls = Counter()
-    chain, verdict = synthesize._chain, synthesize._verdict
+    chain, part = synthesize._chain, synthesize._part
 
     def counting_chain(steps, ts, mode, purpose, *args):
         calls[purpose] += 1
         return chain(steps, ts, mode, purpose, *args)
 
-    def counting_verdict(*args):
-        calls["verdict"] += 1
-        return verdict(*args)
+    def counting_part(*args):
+        calls["part"] += 1
+        return part(*args)
 
     monkeypatch.setattr(synthesize, "_chain", counting_chain)
-    monkeypatch.setattr(synthesize, "_verdict", counting_verdict)
-    relaunched = 0
+    monkeypatch.setattr(synthesize, "_part", counting_part)
+    rebuilt = 0
     # at 9 slots and T = 20 some sub-runs recur, at one launch token, under two r
     for M, T in ((30, 60.0), (20, 30.0), (9, 20.0)):
         spec, results, counts = LinkSpec(length_slots=M, period=T), [], []
         for _ in range(2):
             calls.clear()
             results.append(synthesize_link(spec, tables, cfg))
-            counts.append((calls[LookupPurpose.SETUP_MAX], calls["verdict"]))
+            counts.append((calls[LookupPurpose.SETUP_MAX], calls["part"]))
         first = results[0]
         assert results[1] == first
         keys = set().union(*candidate_keys(M, tables.K, first.iterations))
-        pairs = set()
-        for reg_pos, sub_lens, budgets in islice(schedule(M, tables.K), first.iterations):
-            last = len(sub_lens) - 1
-            pairs.update(((j == 0, j == last, m, b), launch) for j, (m, b, launch)
-                         in enumerate(zip(sub_lens, budgets, [0] + reg_pos)))
-        assert first.valid and first.counts[2] >= 2 and first.iterations > len(pairs)
-        # no chain raised: every record has a path to judge
+        parts = {(len(reg_pos), j, b)
+                 for reg_pos, _, budgets in islice(schedule(M, tables.K), first.iterations)
+                 for j, b in enumerate(budgets)}
+        assert first.valid and first.counts[2] >= 2 and first.iterations > len(parts)
+        # no chain raised: every part has a path to judge
         assert not any("Error: " in line or "Range: " in line for line in first.log)
-        assert counts == [(len(keys), len(pairs))] * 2
-        relaunched += len(pairs) > len(keys)
-    assert relaunched  # some sub-run launches from two tokens
+        assert counts == [(len(parts), len(parts))] * 2
+        rebuilt += len(parts) > len(keys)
+    assert rebuilt  # some sub-run recurs under two register counts
 
 
 def test_analysis_and_synthesis_hash_no_enum_member(cfg, tables, monkeypatch):
@@ -650,19 +681,24 @@ def test_synthesize_refuses_other_config(cfg, tables):
 
 
 def test_judged_slacks_equal_analyze_link(cfg, tables):
-    """The winner's path checks, judged from its sub-run records alone, equal
-    analyze_link's on the whole link to the last bit."""
+    """The winner's path checks, judged from path records rebuilt per sub-run
+    from its block positions, equal analyze_link's on the whole link to the
+    last bit."""
     spec = LinkSpec(length_slots=40, period=80.0, jitter=0.5)
     res = synthesize_link(spec, tables, cfg)
     assert res.valid and res.counts[2] >= 2
     *_, keys = candidate_keys(40, tables.K, res.iterations)
     limit = max_clock_run(cfg, spec.period)
-    pieces = {}
-    records = [synthesize._analyze_sub_run(*key, limit, tables, cfg, pieces)
-               for key in keys]
-    assert "S " + " ".join(run.text for run in records) == serialize_link(res.link)
-    checks, slews, found = hasta.judge_paths([run.path for run in records],
-                                             spec.clock, cfg.slew_legal_max)
+    cs = hasta.clock_slew(cfg)
+    pieces, texts, paths = {}, [], []
+    for key in keys:
+        steps, delays, text = synthesize._sub_run_steps(*key, limit, cfg, pieces)
+        stages = [hasta._chain(steps, tables, LookupMode.PESSIMISTIC, purpose, cs, cs)
+                  for purpose in (LookupPurpose.SETUP_MAX, LookupPurpose.HOLD_MIN)]
+        texts.append(text)
+        paths += hasta.flop_paths(steps, *stages, delays, cfg)
+    assert "S " + " ".join(texts) == serialize_link(res.link)
+    checks, slews, found = hasta.judge_paths(paths, spec.clock, cfg.slew_legal_max)
     report = analyze_link(res.link, tables, cfg, spec.clock)
     assert checks == list(map(tuple, report.paths))
     assert slews + found == list(report.violations) == []

@@ -178,6 +178,26 @@ def test_malformed_lines(line):
         load_tech_config(line + "\n" + MINIMAL)
 
 
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL + "[kind B]\nd0 = 99.0\n", "line 35: repeated section [kind B]"),
+    (MINIMAL.replace("pitch_c = 1.0\n", "pitch_c = 1.0\npitch_r = 2.0\n"),
+     "line 4: repeated key 'pitch_r'"),
+    (MINIMAL.replace("d0 = 12.0\n", "d0 = 12.0\nd0 = 99.0\n"), "line 29: repeated key 'd0'"),
+], ids=["section", "global key", "block key"])
+def test_repeated_key_or_section_rejected(tmp_path, capsys, text, message):
+    """A key given twice in one scope, or a section given twice, is refused
+    with its line instead of the last one winning; characterize exits 2 and
+    writes nothing.  The same key in two sections is fine."""
+    with pytest.raises(ParseError) as err:
+        load_tech_config(text)
+    assert str(err.value) == message
+    tech, out = tmp_path / "tech.cfg", tmp_path / "tables.csv"
+    tech.write_text(text)
+    assert main(["characterize", "--tech", str(tech), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_serialize_round_trip(cfg):
     text = serialize_tech_config(cfg)
     again = load_tech_config(text)
