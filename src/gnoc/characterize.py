@@ -15,11 +15,13 @@ differences.  Every table of a set lies on its config's slew grid, so all 18
 views share one rows list and one intervals list: building and loading end in
 one constructor, and loading refuses a file off that grid.  Between grid rows,
 EXACT chaining needs L >= 3.
+
+A table file holds each cell's record, naming its cell, in save_tables' order
+(FILE_TABLES, then rows, then columns); load_tables refuses any other line.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from enum import Enum
@@ -60,6 +62,10 @@ class LookupPurpose(Enum):
     @property
     def corner(self) -> Corner:
         return Corner.MAX if self is LookupPurpose.SETUP_MAX else Corner.MIN
+
+
+# the table file's tables in record order, each over its rows, then its columns
+FILE_TABLES = tuple(product(PAIRS, LookupPurpose))
 
 
 class TableView(NamedTuple):
@@ -182,8 +188,7 @@ def save_tables(ts: TableSet, destination) -> None:
 def _write(ts: TableSet, fh) -> None:
     lines = [f"{FILE_MAGIC} {FILE_VERSION} cfg={ts.cfg_digest} K={ts.K} L={ts.L}\n",
              f"{COLUMNS}\n"]
-    # PAIRS and then MAX before MIN is the file's sort order
-    for (src, dst), purpose in product(PAIRS, LookupPurpose):
+    for (src, dst), purpose in FILE_TABLES:
         view = table_view(ts, src, dst, purpose)
         table = f"{src.value},{dst.value},{purpose.corner.value}"
         for i, (s, delays, slews) in enumerate(zip(view.rows, view.delay, view.slew_out)):
@@ -193,11 +198,11 @@ def _write(ts: TableSet, fh) -> None:
 
 
 def load_tables(source, cfg: TechConfig) -> TableSet:
-    """Read and validate a table file (text stream or path) on cfg's grid: another
-    digest, K or L is refused at the header, and a slew_in off its grid row."""
+    """Read and validate a table file (text stream or path) on cfg's grid, refusing
+    another digest, K or L at the header and any line but the next cell's record."""
     if hasattr(source, "read"):
         return _read(source, cfg)
-    with open(source, newline="") as fh:
+    with open(source) as fh:
         return _read(fh, cfg)
 
 
@@ -222,57 +227,38 @@ def _read(fh, cfg: TechConfig) -> TableSet:
     # the grid as _write prints it, so loaded tables look up on the file's bits
     rows = [float(f"{s:.12g}") for s in slew_grid(cfg)]
 
-    reader = csv.reader(fh)
-    head = next(reader, None)
+    head = fh.readline()
+    head = head.strip().split(",") if head else None
     if head != COLUMNS.split(","):
         raise FormatError(f"bad CSV column header {head!r}")
+    lines = filter(None, map(str.strip, fh))
 
-    data: dict = {}
-    # (src, dst, corner) as written -> (delay rows, slew-out rows), so the kinds
-    # and the corner are resolved and checked once per table
-    tables: dict = {}
-    for rec in reader:
-        if not rec:
-            continue
-        try:
-            key = rec[0], rec[1], rec[2]
-            table = tables.get(key)
-            if table is None:
-                src, dst, corner = BlockKind(rec[0]), BlockKind(rec[1]), Corner(rec[2])
-            i, n = int(rec[3]), int(rec[4])
-            slew_in, delay, slew_out = map(float, rec[5:])
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"malformed table record {rec!r}") from exc
-        if table is None:
-            if corner not in TABLE_CORNERS:
-                raise FormatError(f"untabulated corner in table record {rec!r}")
-            if src not in ACTIVE_KINDS or dst not in ACTIVE_KINDS:
-                raise FormatError(f"passive block kind in table record {rec!r}")
-            # None marks a cell no record has filled yet
-            table = tables[key] = data[(src, dst), corner] = (
-                [[None] * K for _ in range(L)], [[None] * K for _ in range(L)])
-        if not (0 <= i < L and 0 <= n < K):
-            raise FormatError(f"cell index out of range in record {rec!r}")
-        if not (math.isfinite(slew_in) and math.isfinite(delay) and math.isfinite(slew_out)):
-            raise FormatError(f"non-finite value in table record {rec!r}")
-        delays, slews = table
-        if delays[i][n] is not None:
-            raise FormatError(f"duplicate table record {rec!r}")
-        delays[i][n] = delay
-        slews[i][n] = slew_out
-        if slew_in != rows[i]:
-            raise FormatError(f"inconsistent row slew for {rec[0]}->{rec[1]} row {i}")
+    def read_table(src: BlockKind, dst: BlockKind, purpose: LookupPurpose) -> tuple:
+        """The next L * K records, as one table's delay rows and slew-out rows."""
+        table = f"{src.value},{dst.value},{purpose.corner.value},"
+        delays, slews = [[] for _ in rows], [[] for _ in rows]
+        for i, n in product(range(L), range(K)):
+            cell = f"{table}{i},{n},"
+            line = next(lines, "")
+            if not line.startswith(cell) or line.count(",") != 7:
+                found = repr(line.split(",")) if line else "the end of the file"
+                raise FormatError(f"expected the record of cell {cell[:-1]}, found {found}")
+            try:
+                slew_in, delay, slew_out = map(float, line[len(cell):].split(","))
+            except ValueError as exc:
+                raise FormatError(f"malformed table record {line.split(',')!r}") from exc
+            if not (math.isfinite(slew_in) and math.isfinite(delay) and math.isfinite(slew_out)):
+                raise FormatError(f"non-finite value in table record {line.split(',')!r}")
+            if slew_in != rows[i]:
+                raise FormatError(f"inconsistent row slew for {src}->{dst} row {i}")
+            delays[i].append(delay)
+            slews[i].append(slew_out)
+        return delays, slews
 
-    for pair in PAIRS:
-        if all((pair, corner) not in data for corner in TABLE_CORNERS):
-            raise FormatError(f"table {pair[0]}->{pair[1]} missing or incomplete")
-        for corner in TABLE_CORNERS:
-            entry = data.get((pair, corner))
-            if entry is None or any(None in row for row in entry[0]):
-                raise FormatError(f"table {pair[0]}->{pair[1]} missing corner "
-                                  f"{corner.value}")
-
-    ts = _table_set(rows, data, digest)
+    ts = _table_set(rows, {(pair, purpose.corner): read_table(*pair, purpose)
+                           for pair, purpose in FILE_TABLES}, digest)
+    if extra := next(lines, ""):
+        raise FormatError(f"table record {extra.split(',')!r} after the last cell")
     validate_tables(ts)
     return ts
 

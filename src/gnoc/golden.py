@@ -10,8 +10,8 @@ the clock-buffer tokens that grammar.walk_link collects in its one walk over
 a link and evaluates each distinct stage length once.  golden_clock_analyze
 sums those delays into a latency at every token and lists every stage span;
 link analysis reads the stage delays alone and builds spans only for late
-stages.  The half-period limit lives here too: max_clock_run(T), the most
-unbuffered slots a clock stage may span with its MAX delay below T/2.
+stages.  The half-period limit lives here too: clock_stage_fits(n, T) compares
+an n-slot stage's MAX delay with T/2, and max_clock_run(T) finds the largest n.
 """
 
 from __future__ import annotations
@@ -134,21 +134,25 @@ def clock_stage_delay(n: int, cfg: TechConfig, corner: Corner) -> float:
     return derate(cfg, corner) * (p.cb_d0 + wire)
 
 
+def clock_stage_fits(n: int, cfg: TechConfig, period: float) -> bool:
+    """Whether a clock stage over n unbuffered slots has its MAX-corner delay below T/2."""
+    return clock_stage_delay(n, cfg, Corner.MAX) < period / 2.0
+
+
 def max_clock_run(cfg: TechConfig, period: float) -> int:
     """Most unbuffered slots a clock stage may span with its MAX-corner delay below
     T/2; ClockUnsatisfiable when even back-to-back buffers (zero slots) reach it."""
-    half = period / 2.0
-    if clock_stage_delay(0, cfg, Corner.MAX) >= half:
+    if not clock_stage_fits(0, cfg, period):
         raise ClockUnsatisfiable(
-            f"clock stage with zero unbuffered slots already >= T/2 = {half:.6g}")
+            f"clock stage with zero unbuffered slots already >= T/2 = {period / 2.0:.6g}")
     # the stage delay grows with n (techlib._validate), so the n that fit are
     # 0..answer: double past the answer, then bisect, lo fitting and hi not
     lo, hi = 0, 1
-    while clock_stage_delay(hi, cfg, Corner.MAX) < half:
+    while clock_stage_fits(hi, cfg, period):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if clock_stage_delay(mid, cfg, Corner.MAX) < half:
+        if clock_stage_fits(mid, cfg, period):
             lo = mid
         else:
             hi = mid

@@ -21,8 +21,8 @@ Each analyze_link call walks the link's tokens once (grammar.walk_link),
 collecting the segments and the clock-buffer tokens together, and runs the
 clock model once, per distinct stage length rather than per token: it
 yields the NOMINAL delay of each clock stage.  A clock stage is late past
-golden.max_clock_run(T) unbuffered slots; the stage spans are built, in
-token order, only when the longest stage is late.
+golden.max_clock_run(T) unbuffered slots; that limit is sought, and the stage
+spans built in token order, only when the longest stage is late.
 
 Paths are judged in two steps, and synthesis shares both.  flop_paths turns
 the chained stages into one record per flop-to-flop path: (span in tokens,
@@ -49,9 +49,9 @@ from typing import NamedTuple
 # tracer wraps them under these names.
 from .characterize import (LookupMode, LookupPurpose, TableSet, check_tables,
                            reconstruct_lookup, table_lookup, view_lookup)
-from .errors import ClockUnsatisfiable
 from .golden import (Corner, PathResult, StageResult, clock_buffer_indices,
-                     clock_stage_delay, clock_stage_delays, max_clock_run)
+                     clock_stage_delay, clock_stage_delays, clock_stage_fits,
+                     max_clock_run)
 from .grammar import (Frozen, LinkSentence, Segment, Step, segment_decompose,
                       serialize_link, walk_link)
 from .techlib import (ACTIVE_KINDS, BlockKind, ClockSpec, TechConfig,
@@ -274,19 +274,15 @@ def _clock_violations(buffers: list[int], longest: int, cfg: TechConfig,
 
     buffers are the link's clock-buffer tokens in token order, longest their
     greatest gap.  A stage spanning n tokens is late when n - 1 > max_clock_run(T),
-    taken as -1 when even zero slots reach T/2.
+    taken as -1 when even zero slots reach T/2; it is not sought when the longest fits.
     """
-    try:
-        limit = max_clock_run(cfg, clk.period)
-    except ClockUnsatisfiable:
-        limit = -1
-    if longest - 1 <= limit:
+    if clock_stage_fits(longest - 1, cfg, clk.period):
         return []
-    half = clk.period / 2.0
+    limit = max_clock_run(cfg, clk.period) if clock_stage_fits(0, cfg, clk.period) else -1
     return [Violation(ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD,
                       f"tokens {a}..{b}",
                       f"clock stage delay {clock_stage_delay(b - a - 1, cfg, Corner.MAX):.6g}"
-                      f" >= T/2 = {half:.6g}")
+                      f" >= T/2 = {clk.period / 2.0:.6g}")
             for a, b in zip(buffers, buffers[1:]) if b - a - 1 > limit]
 
 

@@ -5,6 +5,8 @@ All quantities are in abstract units: tu (time), ru (resistance), cu
 text with ``[kind X]`` sections; see ``data/default_tech.cfg`` for the
 shipped defaults.  A key given twice in one scope, or a section given twice,
 is refused (ParseError) rather than letting the last one win.
+``slew_legal_min`` is parsed, validated and digested, but no check reads it:
+SLEW_RANGE compares slews with ``slew_legal_max`` only.
 """
 
 from __future__ import annotations

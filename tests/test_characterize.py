@@ -135,17 +135,16 @@ def _saved_lines(tables):
     return buf.getvalue().splitlines()
 
 
-# stray record -> the start of its refusal, which then names the record
-STRAY = {"duplicate": "duplicate table record",
-         "nominal": "untabulated corner in table record",
-         "passive": "passive block kind in table record"}
+# stray record inserted after the B,B,max row 3 col 4 record
+STRAY = ("duplicate", "nominal", "passive")
 
 
-@pytest.mark.parametrize("stray", list(STRAY))
+@pytest.mark.parametrize("stray", STRAY)
 def test_stray_record_rejected(cfg, tables, tmp_path, capsys, stray):
     """A second record for a cell, even with another value, a record at a
     corner the tables do not hold and a record of a passive kind's table are
-    refused, naming the record."""
+    refused where the next cell's record belongs, naming that cell and the
+    record."""
     lines = _saved_lines(tables)
     i = next(i for i, line in enumerate(lines) if line.startswith("B,B,max,3,4,"))
     parts = lines[i].split(",")
@@ -160,11 +159,35 @@ def test_stray_record_rejected(cfg, tables, tmp_path, capsys, stray):
     with pytest.raises(FormatError) as err:
         load_tables(io.StringIO(text), cfg)
     assert type(err.value) is FormatError
-    assert str(err.value) == f"{STRAY[stray]} {parts!r}"
+    assert str(err.value) == f"expected the record of cell B,B,max,3,5, found {parts!r}"
     tech, path = tmp_path / "tech.cfg", tmp_path / "tables.csv"
     tech.write_text(serialize_tech_config(cfg))
     path.write_text(text)
     assert main(["dse", "--tech", str(tech), "--tables", str(path), "--count", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and repr(parts) in err
+
+
+def test_swapped_records_refused(cfg, tables, tmp_path, capsys):
+    """A file that holds every cell once, but not in the order save_tables
+    writes them, is refused at the first record out of place."""
+    lines = _saved_lines(tables)
+    i = next(i for i, line in enumerate(lines) if line.startswith("B,B,max,3,4,"))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    parts = lines[i].split(",")
+    assert parts[:5] == ["B", "B", "max", "3", "5"]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as err:
+        load_tables(io.StringIO(text), cfg)
+    assert type(err.value) is FormatError
+    assert str(err.value) == f"expected the record of cell B,B,max,3,4, found {parts!r}"
+    tech, path = tmp_path / "tech.cfg", tmp_path / "tables.csv"
+    tech.write_text(serialize_tech_config(cfg))
+    path.write_text(text)
+    link = tmp_path / "link.gnoc"
+    link.write_text("S W W B W W R W W S\n")
+    assert main(["analyze", "--tech", str(tech), "--tables", str(path),
+                 "--link", str(link), "--period", "100"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and repr(parts) in err
 
@@ -189,9 +212,22 @@ def _append_field(lines):
 
 
 def _drop_lines(prefix):
+    """Drop every record that starts with prefix; the fields of the record that
+    now stands where the first one stood."""
     def drop(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
         lines[:] = [line for line in lines if not line.startswith(prefix)]
+        return lines[i].split(",")
     return drop
+
+
+def _drop_last(lines):
+    lines.pop()
+
+
+def _append_last(lines):
+    lines.append(lines[-1])
+    return lines[-1].split(",")
 
 
 def _set_column_header(text):
@@ -200,39 +236,37 @@ def _set_column_header(text):
     return edit
 
 
+# the refusal of a record other than the B,B,max row 3 col 4 one the file order expects
+AT_B_B_MAX_3_4 = "expected the record of cell B,B,max,3,4, found {rec}"
+
 # case -> (edit of the saved default file's lines, message; {rec} stands for
 # the repr of the fields that the edit returns).  Every refusal is a FormatError.
-# Non-finite values, duplicates, the nominal corner and inserted passive-kind
-# records are the cases of the two tests above.
+# Non-finite values, duplicates, the nominal corner, inserted passive-kind
+# records and swapped records are the cases of the three tests above.
 REFUSALS = {
-    "unknown src": (lambda lines: _edit_record(lines, 0, "X"),
-                    "malformed table record {rec}"),
-    "unknown dst": (lambda lines: _edit_record(lines, 1, "b"),
-                    "malformed table record {rec}"),
-    "unknown corner": (lambda lines: _edit_record(lines, 2, "typ"),
-                       "malformed table record {rec}"),
-    "passive dst": (lambda lines: _edit_record(lines, 1, "W"),
-                    "passive block kind in table record {rec}"),
-    "row not an integer": (lambda lines: _edit_record(lines, 3, "3.0"),
-                           "malformed table record {rec}"),
-    "row above range": (lambda lines: _edit_record(lines, 3, "10"),
-                        "cell index out of range in record {rec}"),
-    "row below range": (lambda lines: _edit_record(lines, 3, "-1"),
-                        "cell index out of range in record {rec}"),
-    "col not an integer": (lambda lines: _edit_record(lines, 4, "four"),
-                           "malformed table record {rec}"),
-    "col above range": (lambda lines: _edit_record(lines, 4, "10"),
-                        "cell index out of range in record {rec}"),
+    "unknown src": (lambda lines: _edit_record(lines, 0, "X"), AT_B_B_MAX_3_4),
+    "unknown dst": (lambda lines: _edit_record(lines, 1, "b"), AT_B_B_MAX_3_4),
+    "unknown corner": (lambda lines: _edit_record(lines, 2, "typ"), AT_B_B_MAX_3_4),
+    "passive dst": (lambda lines: _edit_record(lines, 1, "W"), AT_B_B_MAX_3_4),
+    "row not an integer": (lambda lines: _edit_record(lines, 3, "3.0"), AT_B_B_MAX_3_4),
+    "row above range": (lambda lines: _edit_record(lines, 3, "10"), AT_B_B_MAX_3_4),
+    "row below range": (lambda lines: _edit_record(lines, 3, "-1"), AT_B_B_MAX_3_4),
+    "col not an integer": (lambda lines: _edit_record(lines, 4, "four"), AT_B_B_MAX_3_4),
+    "col above range": (lambda lines: _edit_record(lines, 4, "10"), AT_B_B_MAX_3_4),
     "slew not a number": (lambda lines: _edit_record(lines, 5, "fast"),
                           "malformed table record {rec}"),
     "inconsistent row slew": (lambda lines: _edit_record(lines, 5, "16.5"),
                               "inconsistent row slew for B->B row 3"),
-    "short record": (lambda lines: _edit_record(lines, 7, None),
-                     "malformed table record {rec}"),
-    "extra field": (_append_field, "malformed table record {rec}"),
-    "missing record": (_drop_lines("B,B,max,3,4,"), "table B->B missing corner max"),
-    "missing pair": (_drop_lines("B,R,"), "table B->R missing or incomplete"),
-    "missing corner": (_drop_lines("B,R,min,"), "table B->R missing corner min"),
+    "short record": (lambda lines: _edit_record(lines, 7, None), AT_B_B_MAX_3_4),
+    "extra field": (_append_field, AT_B_B_MAX_3_4),
+    "missing record": (_drop_lines("B,B,max,3,4,"), AT_B_B_MAX_3_4),
+    "missing pair": (_drop_lines("B,R,"),
+                     "expected the record of cell B,R,max,0,0, found {rec}"),
+    "missing corner": (_drop_lines("B,R,min,"),
+                       "expected the record of cell B,R,min,0,0, found {rec}"),
+    "missing last record": (_drop_last, "expected the record of cell S,S,min,9,9, "
+                                        "found the end of the file"),
+    "record after the last cell": (_append_last, "table record {rec} after the last cell"),
     "bad column header": (_set_column_header("src,dst,corner,row,col,slew_in,delay,slew_out"),
                           "bad CSV column header ['src', 'dst', 'corner', 'row', 'col', "
                           "'slew_in', 'delay', 'slew_out']"),

@@ -8,7 +8,7 @@ from itertools import chain
 import pytest
 
 from conftest import corpus, random_link
-from gnoc import hasta
+from gnoc import golden, hasta
 from gnoc.characterize import (PAIRS, LookupMode, LookupPurpose, build_tables,
                                reconstruct_lookup, slew_grid, table_lookup, table_view)
 from gnoc.errors import (GnocError, NotOnGrid, SegmentTooLong, SlewOutOfRange,
@@ -658,6 +658,23 @@ def test_analyze_link_walks_clock_once(cfg, tables, monkeypatch):
         calls.clear()
         analyze_link(link, tables, cfg, ClockSpec(period=8.0), clock_entry=entry)
         assert calls == [Corner.NOMINAL]
+
+
+def test_fitting_clock_stages_cost_one_max_evaluation(cfg, tables, monkeypatch):
+    """When the longest clock stage fits in T/2, analysis makes one MAX-corner
+    stage evaluation, for that stage, and does not seek max_clock_run's limit."""
+    corners = []
+
+    def counted(n, cfg, corner):
+        corners.append(corner)
+        return clock_stage_delay(n, cfg, corner)
+
+    monkeypatch.setattr(golden, "clock_stage_delay", counted)
+    report = analyze_link(parse_link("S W W B W W R W W S"), tables, cfg,
+                          ClockSpec(period=100.0))
+    assert not any(v.kind is ViolationKind.CLOCK_UNBUFFERED_GT_HALF_PERIOD
+                   for v in report.violations)
+    assert corners.count(Corner.MAX) == 1
 
 
 def test_analyze_link_walks_tokens_once(cfg, tables, monkeypatch):
