@@ -283,28 +283,6 @@ def validate_tables(ts: TableSet) -> None:
                                         f"along load columns")
 
 
-def tables_equal(a: TableSet, b: TableSet, rtol: float = 0.0) -> bool:
-    """Structural comparison; rtol > 0 tolerates file-precision rounding."""
-    if (a.cfg_digest, a.K, a.L) != (b.cfg_digest, b.K, b.L):
-        return False
-    for pair, purpose in product(PAIRS, LookupPurpose):
-        va, vb = table_view(a, *pair, purpose), table_view(b, *pair, purpose)
-        if not _allclose(chain(va.rows, *va.delay, *va.slew_out),
-                         chain(vb.rows, *vb.delay, *vb.slew_out), rtol):
-            return False
-    return True
-
-
-def _allclose(xs, ys, rtol: float) -> bool:
-    """|x - y| <= rtol * |y| for every pair (asymmetric: relative to ys).
-
-    Equal infinities are close; any other pair with a non-finite value,
-    NaN included, is not.
-    """
-    return all(x == y or (math.isfinite(y) and abs(x - y) <= rtol * abs(y))
-               for x, y in zip(xs, ys, strict=True))
-
-
 def table_view(ts: TableSet, src: BlockKind, dst: BlockKind,
                purpose: LookupPurpose) -> TableView:
     """The (src, dst) table at the purpose's corner."""

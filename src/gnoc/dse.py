@@ -133,10 +133,13 @@ def parse_candidates(text: str) -> list[Candidate]:
             if not length.is_integer():  # NaN and inf are not either
                 raise ParseError(f"line {lineno}: link length must be a whole "
                                  f"number, got {words[2]!r}")
+            period = _num(words[3], lineno)
             jitter = _num(words[4], lineno) if len(words) == 5 else 0.0
-            links.append(LinkSpec(name=words[1], length_slots=int(length),
-                                  period=_num(words[3], lineno),
-                                  jitter=jitter))
+            try:
+                links.append(LinkSpec(name=words[1], length_slots=int(length),
+                                      period=period, jitter=jitter))
+            except GnocError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         elif kw == "end":
             if name is None:
                 raise ParseError(f"line {lineno}: end outside candidate block")

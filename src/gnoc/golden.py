@@ -11,7 +11,8 @@ a link and evaluates each distinct stage length once.  golden_clock_analyze
 sums those delays into a latency at every token and lists every stage span;
 link analysis reads the stage delays alone and builds spans only for late
 stages.  The half-period limit lives here too: clock_stage_fits(n, T) compares
-an n-slot stage's MAX delay with T/2, and max_clock_run(T) finds the largest n.
+an n-slot stage's MAX delay with T/2, and max_clock_run(T) finds the largest n
+from the root of that delay's quadratic in n.
 """
 
 from __future__ import annotations
@@ -141,12 +142,20 @@ def clock_stage_fits(n: int, cfg: TechConfig, period: float) -> bool:
 
 def max_clock_run(cfg: TechConfig, period: float) -> int:
     """Most unbuffered slots a clock stage may span with its MAX-corner delay below
-    T/2; ClockUnsatisfiable when even back-to-back buffers (zero slots) reach it."""
+    T/2; ClockUnsatisfiable when even back-to-back buffers (zero slots) reach it.
+
+    The stage delay grows with n (techlib._validate), so the n that fit are
+    0..answer.  The answer is read off the root of the delay's quadratic in n
+    and confirmed at n and n + 1; should rounding put it a slot off, doubling
+    and bisection find it.
+    """
     if not clock_stage_fits(0, cfg, period):
         raise ClockUnsatisfiable(
             f"clock stage with zero unbuffered slots already >= T/2 = {period / 2.0:.6g}")
-    # the stage delay grows with n (techlib._validate), so the n that fit are
-    # 0..answer: double past the answer, then bisect, lo fitting and hi not
+    n = _clock_run_guess(cfg, period)
+    if clock_stage_fits(n, cfg, period) and not clock_stage_fits(n + 1, cfg, period):
+        return n
+    # double past the answer, then bisect, lo fitting and hi not
     lo, hi = 0, 1
     while clock_stage_fits(hi, cfg, period):
         lo, hi = hi, 2 * hi
@@ -157,6 +166,17 @@ def max_clock_run(cfg: TechConfig, period: float) -> int:
         else:
             hi = mid
     return lo
+
+
+def _clock_run_guess(cfg: TechConfig, period: float) -> int:
+    """max_clock_run up to rounding: the MAX-corner stage delay over its derate is
+    a n^2 + b n + c + T/2 over the derate, so the answer lies just below the root."""
+    p = block_params(cfg, BlockKind.B)
+    a = cfg.pitch_r * cfg.pitch_c / 2.0
+    b = p.cb_r_drv * cfg.pitch_c + a + cfg.pitch_r * p.cb_c_in
+    c = p.cb_d0 + p.cb_r_drv * p.cb_c_in - period / 2.0 / cfg.derate_max
+    root = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))  # no cancellation: c < 0
+    return max(math.ceil(root) - 1, 0) if root < math.inf else 0  # NaN at T = inf
 
 
 def clock_stage_delays(buffers: list[int], cfg: TechConfig, corner: Corner,

@@ -4,8 +4,8 @@ Candidates start as all plain wire; buffers are added one at a time, evenly
 placed, and when no all-wire/buffer mix can close timing the search switches
 to registers (again evenly placed), re-buffering each registered sub-run.
 The first valid candidate under this schedule is the cheapest even-placement
-solution: register count first, then total buffer count.  Every candidate
-tried is logged with its verdict.
+solution: register count first, then total buffer count, then
+lexicographically by each sub-run's buffer count.
 
 Clock-buffer sub-types follow a greedy rule: no clock stage may span more
 than golden.max_clock_run(T) unbuffered slots.  The limit depends only on the
@@ -17,28 +17,47 @@ T/2, since the stage delay grows with the slot count.
 A candidate with r registers is S + run_0 + R + ... + R + run_r + S, where a
 sub-run is the wires and buffers between two consecutive R/S blocks.  For one
 r the sub-run lengths and launch tokens are fixed, so each (sub-run, buffer
-count) is a part, built once per r from its block positions, with no tokens:
-a segment of n wires holds k, rest = divmod(n, limit + 1) W.cb, and the
-text, clock-stage delays and buffer count of each n are built once per call.
-A part is the sub-run's text and each raising chain's error, or else the
+count) is a part, built from its block positions, with no tokens: a segment
+of n wires holds k, rest = divmod(n, limit + 1) W.cb, and the text,
+clock-stage delays and buffer count of each n are built once per call.  A
+part is the sub-run's text and each raising chain's error, or else the
 SLEW_RANGE and path reasons of its one flop-to-flop path, chained from the
 clock slew as analyze_link relaunches every PESSIMISTIC path and judged by
 hasta.judge_paths at its launch token.  The path record carries its own skew,
-so the verdicts are is_valid's bit for bit.  The budget vectors are walked
-depth first, by total then lexicographically, each level carrying its
-prefix's text, first setup and hold errors and reasons: a candidate costs a
-few string joins.
-analyze_link chains the whole setup pass before the hold pass, so a candidate
-is refused for its first setup-pass error in sub-run order, else its first
-hold-pass one, else for all its SLEW_RANGE reasons, then all its path reasons,
-as judge_paths orders them.  The winner's tokens are grammar.TOKENS of its
-words.  An exhausted search ends at S R ... R S, and is_valid gives its
-reasons.
+so the verdicts are is_valid's bit for bit.
+
+The search is a register-count scan.  A candidate is valid exactly when each
+of its parts is, so the first valid one in schedule order gives every
+sub-run its own smallest valid buffer count b.  For r = 0..M the scan takes
+each sub-run's first valid b, found once per call for each (source is S,
+destination is S, slots) from the fewest buffers up and judged at launch
+token 0: the launch token moves only the positions printed in reasons.  It
+stops at the first sub-run with none; the first r at which every sub-run has
+one wins, and the winner's text is the join of those parts' texts, its
+tokens grammar.TOKENS of its words.  iterations, the number of candidates
+the schedule tries, is counted rather than walked: every vector of each
+failed r, then the vectors before the winner in (total, lexicographic)
+order, then the winner.  An exhausted search ends at S R ... R S, and
+is_valid gives its reasons.
+
+The log, one "<candidate> -> <verdict>" line per candidate tried, is a
+SearchLog: its len() is iterations, and the schedule is enumerated only when
+its lines are read.  The enumeration walks the budget vectors depth first,
+by total then lexicographically, each level carrying its prefix's text,
+first setup and hold errors and reasons, each part built once per r: a
+candidate costs a few string joins.  analyze_link chains the whole setup
+pass before the hold pass, so a candidate is refused for its first
+setup-pass error in sub-run order, else its first hold-pass one, else for
+all its SLEW_RANGE reasons, then all its path reasons, as judge_paths orders
+them.  Past sys.maxsize candidates len() overflows; iterations holds the
+exact count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -74,6 +93,46 @@ class LinkSpec(_SpecFields):
         return ClockSpec(period=self.period, jitter=self.jitter)
 
 
+class SearchLog(Sequence):
+    """A search's log lines, one per candidate tried, in search order.
+
+    Its length is the search's iteration count, known without the lines.
+    The first read builds them, by calling make, and keeps them.  It
+    compares, hashes and prints as the tuple of its lines.
+    """
+
+    __slots__ = ("_count", "_make", "_lines")
+
+    def __init__(self, count: int, make):
+        self._count, self._make, self._lines = count, make, None
+
+    def _read(self) -> tuple[str, ...]:
+        if self._lines is None:
+            self._lines, self._make = tuple(self._make()), None
+        return self._lines
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __bool__(self) -> bool:  # len() overflows past sys.maxsize
+        return self._count > 0
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other):
+        return self._read() == other
+
+    def __hash__(self) -> int:
+        return hash(self._read())
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+
 class SynthesisResult(NamedTuple):
     link: LinkSentence | None
     cost: float
@@ -81,7 +140,7 @@ class SynthesisResult(NamedTuple):
     iterations: int
     valid: bool
     reasons: tuple[str, ...] = ()
-    log: tuple[str, ...] = ()
+    log: Sequence[str] = ()        # a SearchLog, or () when no candidate was tried
 
 
 def insert_evenly(M: int, n: int) -> list[int]:
@@ -243,7 +302,8 @@ def _part(src_s: bool, dst_s: bool, m: int, b: int, launch: int, limit: int,
 
 
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
-    """Search the (registers, buffers) schedule for the first valid candidate."""
+    """The first valid candidate of the (registers, buffers) schedule, found by a
+    register-count scan; the log enumerates the candidates on first read."""
     M = spec.length_slots
     try:
         limit = max_clock_run(cfg, spec.period)
@@ -253,6 +313,67 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
                                reasons=(f"ClockUnsatisfiable: {exc}",))
     check_tables(ts, cfg)
     clk = spec.clock
+    pieces: dict = {}  # wire count -> _segment
+    first: dict = {}   # (source is S, destination is S, m) -> (b, text) of its first valid part
+
+    def first_valid(src_s, dst_s, m, least):
+        for b in range(least, m + 1):
+            text, *why = _part(src_s, dst_s, m, b, 0, limit, clk, ts, cfg, pieces)
+            if not any(why):
+                return b, text
+        return None
+
+    search = partial(_search_log, M, limit, clk, ts, cfg)
+    tried = 0
+    for r in range(M + 1):
+        bounds = [0, *insert_evenly(M, r), M + 1]
+        lens = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        minima = [_min_buffers_for_gap(m, ts.K) for m in lens]
+        parts = []
+        for j, (m, least) in enumerate(zip(lens, minima)):
+            key = (j == 0, j == r, m)
+            if key not in first:
+                first[key] = first_valid(*key, least)
+            if first[key] is None:
+                break
+            parts.append(first[key])
+        else:  # the winner: each sub-run at its own smallest valid b
+            text = "S" + "".join(t for _, t in parts)
+            iterations = tried + 1 + _rank([m - least for m, least in zip(lens, minima)],
+                                           [b - least for (b, _), least in zip(parts, minima)])
+            link = LinkSentence(tuple(map(TOKENS.__getitem__, text.split())))
+            counts = (text.count("W"), text.count("B"), text.count("R"))  # W.cb is a W
+            return SynthesisResult(link=link, cost=link_cost(link, cfg), counts=counts,
+                                   iterations=iterations, valid=True,
+                                   log=SearchLog(iterations, search))
+        tried += math.prod(m - least + 1 for m, least in zip(lens, minima))
+    # exhausted: the last candidate tried is S R ... R S, and its reasons are the result's
+    _, reasons = is_valid(LinkSentence((TOKENS["S"], *[TOKENS["R"]] * M, TOKENS["S"])),
+                          spec, ts, cfg)
+    return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0), iterations=tried,
+                           valid=False, reasons=tuple(reasons), log=SearchLog(tried, search))
+
+
+def _rank(widths: list[int], offsets: list[int]) -> int:
+    """How many vectors x with 0 <= x[j] <= widths[j] come before offsets in
+    (total, lexicographic) order."""
+    total = sum(offsets)
+    if not total:
+        return 0
+    ways = [1] + [0] * total  # ways[s]: vectors over the levels after j summing to s
+    rank = rest = 0
+    for w, y in zip(reversed(widths), reversed(offsets)):
+        rest += y  # offsets from level j on
+        rank += sum(ways[rest - y + 1:rest + 1])  # x[j] < y, the later levels the rest
+        sums = [0, *accumulate(ways)]
+        ways = [sums[s + 1] - sums[max(s - w, 0)] for s in range(total + 1)]
+    return rank + sum(ways[:total])
+
+
+def _search_log(M: int, limit: int, clk: ClockSpec, ts: TableSet,
+                cfg: TechConfig) -> Iterator[str]:
+    """The schedule enumerated: each candidate's text and verdict, in search order,
+    up to the first valid one."""
     pieces: dict = {}  # wire count -> _segment
     log: list[str] = []
 
@@ -294,16 +415,8 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
         rows = [[("S", None, None, "", "")]]
         rows += [[None] * (m + 1) for m in lens[1:]]
         for total in range(least[0], most[0] + 1):  # by total, then lexicographically
-            text = walk(0, total, "", None, None, "", "")
-            if text is not None:
-                link = LinkSentence(tuple(map(TOKENS.__getitem__, text.split())))
-                counts = (text.count("W"), text.count("B"), text.count("R"))  # W.cb is a W
-                return SynthesisResult(link=link, cost=link_cost(link, cfg),
-                                       counts=counts, iterations=len(log),
-                                       valid=True, log=tuple(log))
-    # exhausted: the last candidate tried is S R ... R S, and its reasons are the result's
-    _, reasons = is_valid(LinkSentence((TOKENS["S"], *[TOKENS["R"]] * M, TOKENS["S"])),
-                          spec, ts, cfg)
-    return SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
-                           iterations=len(log), valid=False, reasons=tuple(reasons),
-                           log=tuple(log))
+            won = walk(0, total, "", None, None, "", "")
+            yield from log
+            if won is not None:
+                return
+            log.clear()

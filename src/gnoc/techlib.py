@@ -290,9 +290,3 @@ def default_tech_config() -> TechConfig:
     text = resources.files("gnoc.data").joinpath("default_tech.cfg").read_text()
     return load_tech_config(text)
 
-
-def with_slew_grid(cfg: TechConfig, L: int) -> TechConfig:
-    """Same technology with a finer/coarser characterization slew grid."""
-    out = cfg._replace(L=L)
-    _validate(out)
-    return out

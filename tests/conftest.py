@@ -1,13 +1,14 @@
 import math
 import random
+from itertools import chain, product
 
 import pytest
 from hypothesis import strategies as st
 
-from gnoc.characterize import build_tables
+from gnoc.characterize import PAIRS, LookupPurpose, TableSet, build_tables, table_view
 from gnoc.grammar import LinkSentence
-from gnoc.techlib import (CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind,
-                          default_tech_config, load_tech_config,
+from gnoc.techlib import (CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind, TechConfig,
+                          _validate, default_tech_config, load_tech_config,
                           serialize_tech_config)
 
 ACTIVE = [BlockKind.B, BlockKind.R, BlockKind.S]
@@ -21,6 +22,35 @@ def cfg():
 @pytest.fixture(scope="session")
 def tables(cfg):
     return build_tables(cfg)
+
+
+def with_slew_grid(cfg: TechConfig, L: int) -> TechConfig:
+    """Same technology with a finer/coarser characterization slew grid."""
+    out = cfg._replace(L=L)
+    _validate(out)
+    return out
+
+
+def tables_equal(a: TableSet, b: TableSet, rtol: float = 0.0) -> bool:
+    """Structural comparison; rtol > 0 tolerates file-precision rounding."""
+    if (a.cfg_digest, a.K, a.L) != (b.cfg_digest, b.K, b.L):
+        return False
+    for pair, purpose in product(PAIRS, LookupPurpose):
+        va, vb = table_view(a, *pair, purpose), table_view(b, *pair, purpose)
+        if not _allclose(chain(va.rows, *va.delay, *va.slew_out),
+                         chain(vb.rows, *vb.delay, *vb.slew_out), rtol):
+            return False
+    return True
+
+
+def _allclose(xs, ys, rtol: float) -> bool:
+    """|x - y| <= rtol * |y| for every pair (asymmetric: relative to ys).
+
+    Equal infinities are close; any other pair with a non-finite value,
+    NaN included, is not.
+    """
+    return all(x == y or (math.isfinite(y) and abs(x - y) <= rtol * abs(y))
+               for x, y in zip(xs, ys, strict=True))
 
 
 def random_link(rng: random.Random, n_segments: int,

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import random_link
+from conftest import random_link, with_slew_grid
 from gnoc.characterize import (PAIRS, LookupMode, LookupPurpose, build_tables,
                                slew_grid, table_lookup, table_view)
 from gnoc.dse import dse_loop, random_candidates
@@ -26,7 +26,7 @@ from gnoc.synthesize import (LinkSpec, _assemble, assign_clock_subtypes,
                              synthesize_link)
 from gnoc.techlib import (CB_SUBTYPE, DEFAULT_SUBTYPE, BlockKind, ClockSpec,
                           default_tech_config, load_tech_config,
-                          serialize_tech_config, with_slew_grid)
+                          serialize_tech_config)
 
 
 _CAPTURE = None

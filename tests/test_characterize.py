@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ACTIVE, tech_configs
+from conftest import ACTIVE, tables_equal, tech_configs, with_slew_grid
 from gnoc.characterize import (LookupMode, LookupPurpose, TableView, build_tables,
                                load_tables, reconstruct_lookup, save_tables,
-                               slew_grid, table_lookup, table_view, tables_equal,
-                               validate_tables)
+                               slew_grid, table_lookup, table_view, validate_tables)
 from gnoc.cli import main
 from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
                          MonotonicityError, NotOnGrid, SegmentTooLong,
@@ -21,7 +20,7 @@ from gnoc.errors import (CornerOrderError, DigestMismatch, FormatError,
 from gnoc.golden import Corner, golden_segment
 from gnoc.grammar import parse_link
 from gnoc.hasta import analyze_path
-from gnoc.techlib import BlockKind, load_tech_config, serialize_tech_config, with_slew_grid
+from gnoc.techlib import BlockKind, load_tech_config, serialize_tech_config
 
 # sha256 and size of save_tables(build_tables(cfg)) per slew grid size L
 TABLE_FILE_SHA256 = {

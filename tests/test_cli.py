@@ -509,17 +509,31 @@ def test_infinite_period_is_usage_error(ws, tmp_path, command):
     """An infinite period is refused up front; synthesis under it never ended."""
     if command == "synthesize":
         rest = ["--length", "5", "--period", "inf", "--out", str(tmp_path / "x.gnoc")]
+        where = ""
     else:
         cands = tmp_path / "cands.txt"
         cands.write_text("candidate a\nlink l 5 inf\nend\n")
         rest = ["--candidates", str(cands)]
+        where = "line 2: "  # a candidate file's refusals name the line
     proc = subprocess.run([sys.executable, "-m", "gnoc.cli", command, *args(ws, *rest)],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "error: clock period must be finite, got T=inf" in proc.stderr
+    assert f"error: {where}clock period must be finite, got T=inf" in proc.stderr
     assert not (tmp_path / "x.gnoc").exists()
+
+
+@pytest.mark.parametrize("link, message", [
+    ("link l 0 100", "length_slots must be an int >= 1, got 0"),
+    ("link l 5 10 10", "clock requires period > jitter >= 0, got T=10.0 jitter=10.0"),
+    ("link l 5 nan", "clock requires period > jitter >= 0, got T=nan jitter=0.0"),
+])
+def test_dse_refused_link_names_its_line(ws, tmp_path, capsys, link, message):
+    cands = tmp_path / "cands.txt"
+    cands.write_text(f"candidate a\nisland core 1\n{link}\nend\n")
+    assert main(["dse", *args(ws, "--candidates", str(cands))]) == 2
+    assert capsys.readouterr() == ("", f"error: line 3: {message}\n")
 
 
 def test_dse_candidates_file(ws, capsys):

@@ -5,7 +5,7 @@ import pytest
 from gnoc.dse import (Candidate, dse_loop, evaluate_candidate,
                       parse_candidates, random_candidates)
 from gnoc.errors import GnocError, NoValidCandidate, ParseError
-from gnoc.synthesize import LinkSpec
+from gnoc.synthesize import LinkSpec, is_valid, synthesize_link
 
 
 def cand(name, island_costs, links):
@@ -20,6 +20,18 @@ def test_evaluate_example(cfg, tables):
     assert ev.island_cost == 300.0
     assert ev.link_costs == (("link", 42.0),)
     assert ev.cost == 342.0
+
+
+def test_evaluate_long_link(cfg, tables):
+    """A candidate holding one 100-slot link at T = 60, whose enumeration
+    would try over 10^9 candidates, is costed by the register-count scan;
+    the link it costs passes is_valid."""
+    spec = LinkSpec(length_slots=100, period=60.0)
+    ev = evaluate_candidate(cand("a", [10.0], [spec]), tables, cfg)
+    res = synthesize_link(spec, tables, cfg)
+    assert ev.valid and ev.link_costs == (("link", res.cost),) and ev.cost == 10.0 + res.cost
+    assert res.valid and len(res.link) == 102 and res.iterations > 10 ** 9
+    assert is_valid(res.link, spec, tables, cfg) == (True, [])
 
 
 def test_evaluate_no_links(cfg, tables):
@@ -135,6 +147,25 @@ def test_parse_candidates_round_trip():
 def test_parse_candidates_rejects(text):
     with pytest.raises(ParseError):
         parse_candidates(text)
+
+
+@pytest.mark.parametrize("link, message", [
+    ("link l 0 100", "length_slots must be an int >= 1, got 0"),
+    ("link l -2 100", "length_slots must be an int >= 1, got -2"),
+    ("link l 5 10 10", "clock requires period > jitter >= 0, got T=10.0 jitter=10.0"),
+    ("link l 5 0", "clock requires period > jitter >= 0, got T=0.0 jitter=0.0"),
+    ("link l 5 100 -1", "clock requires period > jitter >= 0, got T=100.0 jitter=-1.0"),
+    ("link l 5 nan", "clock requires period > jitter >= 0, got T=nan jitter=0.0"),
+    ("link l 5 100 nan", "clock requires period > jitter >= 0, got T=100.0 jitter=nan"),
+    ("link l 5 inf", "clock period must be finite, got T=inf"),
+])
+def test_parse_candidates_names_the_line_of_a_refused_link(link, message):
+    """A link whose spec LinkSpec or ClockSpec refuses is a ParseError that
+    names its line, like every other refusal of the format."""
+    text = f"candidate a\n  island core 1\n  {link}\nend\n"
+    with pytest.raises(ParseError) as caught:
+        parse_candidates(text)
+    assert str(caught.value) == f"line 3: {message}"
 
 
 def test_random_candidates_seeded():

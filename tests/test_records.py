@@ -16,8 +16,9 @@ from gnoc.grammar import LinkSentence, parse_link
 from gnoc.hasta import TimingReport
 from gnoc.synthesize import LinkSpec, SynthesisResult
 from gnoc.techlib import (BlockKind, BlockParams, ClockSpec, SubtypeTag, TechConfig,
-                          default_tech_config, load_tech_config, serialize_tech_config,
-                          with_slew_grid)
+                          default_tech_config, load_tech_config, serialize_tech_config)
+
+from conftest import with_slew_grid
 
 LINK = parse_link("S W B S")
 TECH = dict(pitch_r=1.0, pitch_c=1.0, K=10, L=10, slew_grid_min=4.0,

@@ -2,9 +2,10 @@ import enum
 import hashlib
 import math
 import random
+import sys
 import time
 from collections import Counter
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gnoc import golden, grammar, hasta, synthesize
 from gnoc.characterize import LookupMode, LookupPurpose, build_tables
+from gnoc.dse import dse_loop, random_candidates
 from gnoc.errors import (ClockUnsatisfiable, GnocError, SegmentTooLong,
                          SlewOutOfRange, TableMismatch)
 from gnoc.golden import Corner, clock_stage_delay, clock_stage_delays
@@ -369,6 +371,120 @@ def test_synthesize_matches_reference_under_random_configs(drawn, data):
                 assert getattr(got, field) == getattr(want, field), (spec, field)
 
 
+def assert_scan_equals_enumeration(res, spec, cfg):
+    """The scan's result is the one its log's enumeration gives, field by
+    field: the winner is the log's one valid line and its last, or the log
+    ends at S R ... R S with the result's reasons.  len() needs no read."""
+    assert len(res.log) == res.iterations
+    lines = tuple(res.log)
+    if not lines:  # below the clock floor
+        assert res.iterations == 0 and res.reasons[0].startswith("ClockUnsatisfiable: ")
+        return
+    tried = [line.split(" -> ", 1) for line in lines]
+    won = [text for text, verdict in tried if verdict == "valid"]
+    if won:
+        assert tried[-1] == [won[0], "valid"] and len(won) == 1
+        link = parse_link(won[0])
+        kinds = link.kinds()[1:-1]
+        counts = tuple(kinds.count(kind) for kind in (BlockKind.W, BlockKind.B, BlockKind.R))
+        want = SynthesisResult(link=link, cost=link_cost(link, cfg), counts=counts,
+                               iterations=len(lines), valid=True, log=lines)
+    else:
+        assert tried[-1] == [f"S{' R' * spec.length_slots} S", "; ".join(res.reasons)]
+        want = SynthesisResult(link=None, cost=math.inf, counts=(0, 0, 0),
+                               iterations=len(lines), valid=False, reasons=res.reasons,
+                               log=lines)
+    for field in SynthesisResult._fields:
+        assert getattr(res, field) == getattr(want, field), (spec, field)
+
+
+@given(spec=specs())
+@settings(max_examples=40, deadline=None)
+def test_scan_equals_enumeration(cfg, tables, spec):
+    assert_scan_equals_enumeration(synthesize_link(spec, tables, cfg), spec, cfg)
+
+
+@given(drawn=tech_configs(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_scan_equals_enumeration_under_random_configs(drawn, data):
+    """Up to 20 slots, from the clock floor to 30 times it, with and
+    without jitter; exhausted searches are common."""
+    ts = build_tables(drawn)
+    floor = 2.0 * clock_stage_delay(0, drawn, Corner.MAX)
+    M = data.draw(st.integers(1, 20), label="M")
+    T = floor * math.exp(data.draw(st.floats(0.0, 3.4), label="log T / floor"))
+    for jitter in (0.0, 0.1 * floor):
+        spec = LinkSpec(length_slots=M, period=T, jitter=jitter)
+        assert_scan_equals_enumeration(synthesize_link(spec, ts, drawn), spec, drawn)
+
+
+def test_results_need_no_enumeration(cfg, tables, monkeypatch):
+    """With the enumeration made to raise, synthesize_link and dse_loop
+    return what they return without it; only reading a log enumerates."""
+    specs = [LinkSpec(length_slots=M, period=T) for M in (1, 12, 30, 60)
+             for T in (9.0, 12.0, 60.0, 177.31)]
+    candidates = random_candidates(seed=5, count=12)
+    want = [synthesize_link(spec, tables, cfg) for spec in specs]
+    want_dse = dse_loop(candidates, tables, cfg)
+
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(synthesize, "_search_log", refuse)
+    got = [synthesize_link(spec, tables, cfg) for spec in specs]
+    assert [res[:-1] for res in got] == [res[:-1] for res in want]
+    assert [len(res.log) for res in got] == [res.iterations for res in want]
+    assert dse_loop(candidates, tables, cfg) == want_dse
+    with pytest.raises(AssertionError, match="enumerated"):
+        tuple(got[-1].log)
+
+
+def test_scan_builds_each_part_once(cfg, tables, monkeypatch):
+    """The scan probes each (source is S, destination is S, slots, buffers)
+    at most once per call, from the sub-run's fewest buffers up."""
+    probed = []
+    part = synthesize._part
+
+    def counted(src_s, dst_s, m, b, *args):
+        probed.append((src_s, dst_s, m, b))
+        return part(src_s, dst_s, m, b, *args)
+
+    monkeypatch.setattr(synthesize, "_part", counted)
+    for M, T in ((30, 60.0), (60, 60.0), (17, 177.31), (12, 12.0)):
+        probed.clear()
+        synthesize_link(LinkSpec(length_slots=M, period=T), tables, cfg)
+        assert len(probed) == len(set(probed)), (M, T)
+        by_key = {}
+        for *key, b in probed:
+            by_key.setdefault(tuple(key), []).append(b)
+        for (_, _, m), bs in by_key.items():
+            least = _min_buffers_for_gap(m, tables.K)
+            assert bs == list(range(least, least + len(bs))), (M, T)
+
+
+def test_synthesize_1000_slots(cfg, tables):
+    """A 1,000-slot link at T = 60 returns a link is_valid accepts.  Its
+    iteration count, exact, is past sys.maxsize, so len() of its log
+    overflows rather than enumerate."""
+    spec = LinkSpec(length_slots=1000, period=60.0)
+    res = synthesize_link(spec, tables, cfg)
+    assert res.valid and len(res.link) == 1002
+    assert is_valid(res.link, spec, tables, cfg) == (True, [])
+    assert res.iterations > sys.maxsize and res.log
+    with pytest.raises(OverflowError):
+        len(res.log)
+
+
+def test_rank_counts_vectors_before():
+    """_rank equals a brute-force count over every box up to 4 levels of
+    widths 0..3, at every vector of the box."""
+    for levels in range(1, 5):
+        for widths in product(range(4), repeat=levels):
+            box = sorted(product(*(range(w + 1) for w in widths)), key=lambda x: (sum(x), x))
+            for rank, vector in enumerate(box):
+                assert synthesize._rank(list(widths), list(vector)) == rank, (widths, vector)
+
+
 @pytest.mark.parametrize("edits, first", [
     ((), {"SETUP", "COMB_GT_PERIOD"}),
     # every candidate, S R ... R S included, has SLEW_RANGE before path reasons
@@ -438,6 +554,58 @@ def edge_periods(cfg):
         edge = 2.0 * clock_stage_delay(n, cfg, Corner.MAX)
         periods += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     return [T for T in periods if T > 2.0 * clock_stage_delay(0, cfg, Corner.MAX)]
+
+
+def bisected_max_clock_run(cfg, period):
+    """max_clock_run by doubling past the answer and bisecting, over
+    clock_stage_delay; None below the clock floor."""
+    def fits(n):
+        return clock_stage_delay(n, cfg, Corner.MAX) < period / 2.0
+
+    if not fits(0):
+        return None
+    lo, hi = 0, 1
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def assert_max_clock_run_bisected(cfg, periods):
+    for T in periods:
+        want = bisected_max_clock_run(cfg, T)
+        if want is None:
+            with pytest.raises(ClockUnsatisfiable):
+                max_clock_run(cfg, T)
+        else:
+            assert max_clock_run(cfg, T) == want, T
+
+
+@given(drawn=tech_configs(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_max_clock_run_equals_bisection_under_random_configs(drawn, data):
+    """The closed form equals doubling and bisection at each edge period and
+    one ulp either side, one ulp below the clock floor, at random periods,
+    at T = 1e6..1e15, and at an infinite T, where the root is NaN."""
+    floor = 2.0 * clock_stage_delay(0, drawn, Corner.MAX)
+    periods = [math.nextafter(floor, 0.0), *edge_periods(drawn)]
+    periods += data.draw(st.lists(st.floats(floor / 2.0, 1e4 * floor), max_size=20),
+                         label="periods")
+    periods += [10.0 ** k for k in range(6, 16)] + [math.inf]
+    assert_max_clock_run_bisected(drawn, periods)
+
+
+def test_max_clock_run_falls_back_when_the_root_is_off(cfg, monkeypatch):
+    """Should rounding put the closed form's answer a slot or more off, the
+    check at n and n + 1 fails and doubling and bisection find the answer."""
+    periods = edge_periods(cfg) + [60.0, 177.31, 1e6, 1e15]
+    guess = golden._clock_run_guess
+    for off in (-1, 1, -10 ** 9, 10 ** 9):
+        monkeypatch.setattr(golden, "_clock_run_guess",
+                            lambda cfg, T: max(guess(cfg, T) + off, 0))
+        assert_max_clock_run_bisected(cfg, periods)
 
 
 def test_clock_check_flags_stages_past_max_clock_run(cfg):
@@ -566,10 +734,11 @@ def candidate_keys(M, K, count):
 
 
 def test_parts_built_once_per_register_count(cfg, tables, monkeypatch):
-    """One setup-chain evaluation and one part per distinct (register count,
-    level, buffers) of the candidates tried; a second identical call repeats
-    them all, so nothing is kept between calls, and a sub-run that recurs
-    under two register counts is built under each."""
+    """Reading the log makes one setup-chain evaluation and one part per
+    distinct (register count, level, buffers) of the candidates tried; the
+    log of a second identical call repeats them all, so nothing is kept
+    between calls, and a sub-run that recurs under two register counts is
+    built under each."""
     calls = Counter()
     chain, part = synthesize._chain, synthesize._part
 
@@ -588,8 +757,9 @@ def test_parts_built_once_per_register_count(cfg, tables, monkeypatch):
     for M, T in ((30, 60.0), (20, 30.0), (9, 20.0)):
         spec, results, counts = LinkSpec(length_slots=M, period=T), [], []
         for _ in range(2):
-            calls.clear()
             results.append(synthesize_link(spec, tables, cfg))
+            calls.clear()
+            tuple(results[-1].log)
             counts.append((calls[LookupPurpose.SETUP_MAX], calls["part"]))
         first = results[0]
         assert results[1] == first
@@ -631,9 +801,10 @@ def test_analysis_and_synthesis_hash_no_enum_member(cfg, tables, monkeypatch):
 
 
 def test_stage_delays_evaluated_once_per_distance(cfg, tables, monkeypatch):
-    """One call evaluates the NOMINAL clock-stage delay once per distinct
-    stage distance of the sub-runs it builds, builds each wire count's segment
-    piece once, and walks no link's tokens."""
+    """Reading the log evaluates the NOMINAL clock-stage delay once per
+    distinct stage distance of the sub-runs it builds and builds each wire
+    count's segment piece once; so does the scan before it, and neither
+    walks a link's tokens."""
     def no_walk(link):
         raise AssertionError("walk_link called")
 
@@ -654,6 +825,10 @@ def test_stage_delays_evaluated_once_per_distance(cfg, tables, monkeypatch):
     monkeypatch.setattr(synthesize, "_segment", counted_segment)
     spec = LinkSpec(length_slots=30, period=60.0)
     res = synthesize_link(spec, tables, cfg)
+    assert set(pieces.values()) == {1}
+    calls.clear()
+    pieces.clear()
+    tuple(res.log)
     monkeypatch.undo()
     assert res.valid and res.counts[2] >= 2
     limit = max_clock_run(cfg, spec.period)

@@ -8,7 +8,9 @@ from gnoc.cli import main
 from gnoc.errors import InvalidValue, MissingKey, ParseError
 from gnoc.synthesize import max_clock_run
 from gnoc.techlib import (BlockKind, ClockSpec, block_params, load_tech_config,
-                          serialize_tech_config, with_slew_grid)
+                          serialize_tech_config)
+
+from conftest import with_slew_grid
 
 MINIMAL = """
 pitch_r = 1.0
