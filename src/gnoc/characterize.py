@@ -17,7 +17,8 @@ one constructor, and loading refuses a file off that grid.  Between grid rows,
 EXACT chaining needs L >= 3.
 
 A table file holds each cell's record, naming its cell, in save_tables' order
-(FILE_TABLES, then rows, then columns); load_tables refuses any other line.
+(FILE_TABLES, then rows, then columns); load_tables refuses any other line,
+and a non-finite or negative value.
 """
 
 from __future__ import annotations
@@ -249,6 +250,10 @@ def _read(fh, cfg: TechConfig) -> TableSet:
                 raise FormatError(f"malformed table record {line.split(',')!r}") from exc
             if not (math.isfinite(slew_in) and math.isfinite(delay) and math.isfinite(slew_out)):
                 raise FormatError(f"non-finite value in table record {line.split(',')!r}")
+            # synthesis stops a sub-run once its running delay sum passes the period
+            if delay < 0.0 or slew_out < 0.0:
+                raise FormatError(f"negative {'delay' if delay < 0.0 else 'slew_out'} "
+                                  f"in table cell {cell[:-1]}")
             if slew_in != rows[i]:
                 raise FormatError(f"inconsistent row slew for {src}->{dst} row {i}")
             delays[i].append(delay)

@@ -79,20 +79,20 @@ def cmd_synthesize(args) -> int:
     spec = synthesize.LinkSpec(length_slots=args.length, period=args.period,
                                jitter=args.jitter)
     result = synthesize.synthesize_link(spec, ts, cfg)
-    if result.valid:  # written first, so a failed write leaves stdout empty
+    # stdout is built whole, then the link file written, then stdout printed: an
+    # error leaves neither a file without its report nor a report without its file
+    lines = [f"try: {line}" for line in result.log]
+    if not result.valid:
+        lines.append(f"unsynthesizable: {'; '.join(result.reasons)}")
+    else:
         text = grammar.serialize_link(result.link)
+        w, b, r = result.counts
+        lines += [f"result: {text}",
+                  f"cost={result.cost:.6g} W={w} B={b} R={r} iterations={result.iterations}"]
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    for line in result.log:
-        print(f"try: {line}")
-    if not result.valid:
-        print(f"unsynthesizable: {'; '.join(result.reasons)}")
-        return EXIT_VIOLATIONS
-    w, b, r = result.counts
-    print(f"result: {text}")
-    print(f"cost={result.cost:.6g} W={w} B={b} R={r} "
-          f"iterations={result.iterations}")
-    return EXIT_OK
+    print("\n".join(lines))
+    return EXIT_OK if result.valid else EXIT_VIOLATIONS
 
 
 def cmd_validate(args) -> int:

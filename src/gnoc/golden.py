@@ -142,13 +142,16 @@ def clock_stage_fits(n: int, cfg: TechConfig, period: float) -> bool:
 
 def max_clock_run(cfg: TechConfig, period: float) -> int:
     """Most unbuffered slots a clock stage may span with its MAX-corner delay below
-    T/2; ClockUnsatisfiable when even back-to-back buffers (zero slots) reach it.
+    T/2; ClockUnsatisfiable when even back-to-back buffers (zero slots) reach it,
+    InvalidValue when T is not finite.
 
     The stage delay grows with n (techlib._validate), so the n that fit are
     0..answer.  The answer is read off the root of the delay's quadratic in n
     and confirmed at n and n + 1; should rounding put it a slot off, doubling
     and bisection find it.
     """
+    if not math.isfinite(period):
+        raise InvalidValue(f"period must be finite, got {period!r}")
     if not clock_stage_fits(0, cfg, period):
         raise ClockUnsatisfiable(
             f"clock stage with zero unbuffered slots already >= T/2 = {period / 2.0:.6g}")
@@ -176,7 +179,7 @@ def _clock_run_guess(cfg: TechConfig, period: float) -> int:
     b = p.cb_r_drv * cfg.pitch_c + a + cfg.pitch_r * p.cb_c_in
     c = p.cb_d0 + p.cb_r_drv * p.cb_c_in - period / 2.0 / cfg.derate_max
     root = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))  # no cancellation: c < 0
-    return max(math.ceil(root) - 1, 0) if root < math.inf else 0  # NaN at T = inf
+    return max(math.ceil(root) - 1, 0)
 
 
 def clock_stage_delays(buffers: list[int], cfg: TechConfig, corner: Corner,

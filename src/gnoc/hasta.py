@@ -33,7 +33,9 @@ clock-stage delays from 0.0 in token order, each negated when the clock
 enters at the far end.  Positions count from the path's launch token, so a
 record holds all its verdict needs.  judge_paths lays records end to end
 from a given launch token, so a record judged alone at its own launch token
-gives the findings it has inside any longer run of records.
+gives the findings it has inside any longer run of records.  meets_setup and
+meets_hold give its SETUP and HOLD verdicts alone, for synthesis's probe that
+stops a path as soon as its verdict is known.
 """
 
 from __future__ import annotations
@@ -129,6 +131,16 @@ def hold_check(path_delay_min: float, skew: float, t_h: float,
                jitter: float = 0.0) -> float:
     """Hold slack; jitter is common-path by default (pass it to include)."""
     return path_delay_min - skew - t_h - jitter
+
+
+def meets_setup(clk: ClockSpec, skew: float, path_delay_max: float, t_su: float) -> bool:
+    """Whether judge_paths finds no SETUP violation on such a path."""
+    return not setup_check(clk.period, clk.jitter, skew, path_delay_max, t_su) < 0.0
+
+
+def meets_hold(path_delay_min: float, skew: float, t_h: float) -> bool:
+    """Whether judge_paths finds no HOLD violation on such a path."""
+    return not hold_check(path_delay_min, skew, t_h) < 0.0
 
 
 def slew_violation(at: int, n_wires: int, slew_out: float,

@@ -30,10 +30,14 @@ The search is a register-count scan.  A candidate is valid exactly when each
 of its parts is, so the first valid one in schedule order gives every
 sub-run its own smallest valid buffer count b.  For r = 0..M the scan takes
 each sub-run's first valid b, found once per call for each (source is S,
-destination is S, slots) from the fewest buffers up and judged at launch
-token 0: the launch token moves only the positions printed in reasons.  It
-stops at the first sub-run with none; the first r at which every sub-run has
-one wins, and the winner's text is the join of those parts' texts, its
+destination is S, slots) from the fewest buffers up.  Each b is judged by
+_fits, an early-stopping verdict equal to its part's at launch token 0 (the
+launch token moves only the positions printed in reasons): it stops at the
+first chain error, slew past the legal max or running delay past the
+period, and chains the hold pass only once the setup check passes.  So the
+scan builds no part: reasons are built only for the log.  It stops at the
+first sub-run with no valid b; the first r at which every sub-run has one
+wins, and the winner's text is the join of those sub-runs' texts, its
 tokens grammar.TOKENS of its words.  iterations, the number of candidates
 the schedule tries, is counted rather than walked: every vector of each
 failed r, then the vectors before the winner in (total, lexicographic)
@@ -61,12 +65,14 @@ from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
-from .characterize import LookupMode, LookupPurpose, TableSet, check_tables
+from .characterize import LookupMode, LookupPurpose, TableSet, check_tables, view_lookup
 from .errors import ClockUnsatisfiable, GnocError, SegmentTooLong, SlewOutOfRange
 from .golden import Corner, clock_stage_delay, max_clock_run
 from .grammar import TOKENS, LinkSentence, Step, Token
-from .hasta import Violation, _chain, analyze_link, clock_slew, flop_paths, judge_paths
-from .techlib import ACTIVE_KINDS, DEFAULT_SUBTYPE, BlockKind, ClockSpec, TechConfig
+from .hasta import (Violation, _chain, analyze_link, clock_slew, flop_paths, judge_paths,
+                    meets_hold, meets_setup)
+from .techlib import (ACTIVE_KINDS, DEFAULT_SUBTYPE, BlockKind, ClockSpec, TechConfig,
+                      block_params)
 
 
 class _SpecFields(NamedTuple):
@@ -301,9 +307,65 @@ def _part(src_s: bool, dst_s: bool, m: int, b: int, launch: int, limit: int,
             "".join("; " + _reason(v) for v in found))
 
 
+_SETUP, _HOLD = LookupPurpose.SETUP_MAX, LookupPurpose.HOLD_MIN
+
+
+def _fits(src_s: bool, dst_s: bool, m: int, b: int, limit: int, clk: ClockSpec,
+          ts: TableSet, cfg: TechConfig, pieces: dict) -> bool:
+    """not any(_part(src_s, dst_s, m, b, 0, ...)[1:]), decided as soon as it is known.
+
+    The setup pass walks the segments from insert_evenly's positions through
+    ts.memo, as _chain does from the clock slew, and stops at the first error,
+    slew past the legal max or running delay past the period: delays are never
+    negative, so a running sum never decreases.  The skew then folds the pieces'
+    stage delays from 0.0 as flop_paths does, and only a setup pass that meets
+    setup chains the hold pass, both judged as hasta.judge_paths judges."""
+    period, slew_max, cs = clk.period, cfg.slew_legal_max, clock_slew(cfg)
+    views, memo = ts.views[_SETUP], ts.memo[_SETUP]
+    src, dst_end = _END_INDEX[src_s], _END_INDEX[dst_s]
+    at, slew, d_max, segments = 0, cs, 0.0, []
+    try:
+        for j in range(1, b + 2):  # buffer j at insert_evenly's position, then the end
+            dst, to = ((_B_INDEX, int(math.floor(j * (m + 1) / (b + 1) + 0.5))) if j <= b
+                       else (dst_end, m + 1))
+            n, cell = to - at - 1, memo[src][dst]
+            stage = cell.get((n, slew))
+            if stage is None:
+                stage = cell[n, slew] = view_lookup(views[src][dst], n, slew,
+                                                    LookupMode.PESSIMISTIC, _SETUP)
+            delay, slew, _ = stage
+            d_max += delay
+            if slew > slew_max or d_max > period:
+                return False
+            segments.append((src, dst, n))
+            src, at = _B_INDEX, to
+        skew = 0.0
+        for _, _, n in segments:
+            for delay in (pieces.get(n) or _segment(n, limit, cfg, pieces))[1]:
+                skew += delay
+        params = block_params(cfg, ACTIVE_KINDS[dst_end])
+        if not meets_setup(clk, skew, d_max, params.t_su):
+            return False
+        views, memo = ts.views[_HOLD], ts.memo[_HOLD]
+        slew, d_min = cs, 0.0
+        for src, dst, n in segments:
+            cell = memo[src][dst]
+            stage = cell.get((n, slew))
+            if stage is None:
+                stage = cell[n, slew] = view_lookup(views[src][dst], n, slew,
+                                                    LookupMode.PESSIMISTIC, _HOLD)
+            delay, slew, _ = stage
+            d_min += delay
+    except (SegmentTooLong, SlewOutOfRange):
+        return False
+    return meets_hold(d_min, skew, params.t_h)
+
+
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
     """The first valid candidate of the (registers, buffers) schedule, found by a
-    register-count scan; the log enumerates the candidates on first read."""
+    register-count scan that judges each sub-run by _fits' early-stopping verdict;
+    reasons are built only for the log, which enumerates the candidates on first
+    read."""
     M = spec.length_slots
     try:
         limit = max_clock_run(cfg, spec.period)
@@ -318,9 +380,8 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
 
     def first_valid(src_s, dst_s, m, least):
         for b in range(least, m + 1):
-            text, *why = _part(src_s, dst_s, m, b, 0, limit, clk, ts, cfg, pieces)
-            if not any(why):
-                return b, text
+            if _fits(src_s, dst_s, m, b, limit, clk, ts, cfg, pieces):
+                return b, " " + _sub_run_steps(src_s, dst_s, m, b, limit, cfg, pieces)[2]
         return None
 
     search = partial(_search_log, M, limit, clk, ts, cfg)

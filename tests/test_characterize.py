@@ -256,6 +256,10 @@ REFUSALS = {
                           "malformed table record {rec}"),
     "inconsistent row slew": (lambda lines: _edit_record(lines, 5, "16.5"),
                               "inconsistent row slew for B->B row 3"),
+    "negative delay": (lambda lines: _edit_record(lines, 6, "-0.5"),
+                       "negative delay in table cell B,B,max,3,4"),
+    "negative slew_out": (lambda lines: _edit_record(lines, 7, "-0.5"),
+                          "negative slew_out in table cell B,B,max,3,4"),
     "short record": (lambda lines: _edit_record(lines, 7, None), AT_B_B_MAX_3_4),
     "extra field": (_append_field, AT_B_B_MAX_3_4),
     "missing record": (_drop_lines("B,B,max,3,4,"), AT_B_B_MAX_3_4),

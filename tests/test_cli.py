@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import gnoc
-from gnoc import characterize
+from gnoc import characterize, synthesize
 from gnoc.cli import main
 from gnoc.techlib import serialize_tech_config
 
@@ -409,6 +409,21 @@ def test_synthesize_failed_write_prints_nothing(ws, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
+def test_synthesize_failed_log_leaves_no_link_file(ws, tmp_path, capsys, monkeypatch):
+    """stdout, log lines included, is built before the link file is written,
+    so a log that runs out of memory exits 3 and leaves neither."""
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(synthesize, "_search_log", exhausted)
+    out = tmp_path / "syn.gnoc"
+    assert main(["synthesize", *args(ws, "--length", "11",
+                                     "--period", "100", "--out", str(out))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error: ")
+    assert not out.exists()
 
 
 def test_synthesize_unsatisfiable(ws, tmp_path, capsys):

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnoc import golden, grammar, hasta, synthesize
-from gnoc.characterize import LookupMode, LookupPurpose, build_tables
+from gnoc.characterize import LookupMode, LookupPurpose, TableSet, build_tables
 from gnoc.dse import dse_loop, random_candidates
-from gnoc.errors import (ClockUnsatisfiable, GnocError, SegmentTooLong,
+from gnoc.errors import (ClockUnsatisfiable, GnocError, InvalidValue, SegmentTooLong,
                          SlewOutOfRange, TableMismatch)
 from gnoc.golden import Corner, clock_stage_delay, clock_stage_delays
 from gnoc.grammar import LinkSentence, parse_link, serialize_link, walk_link
@@ -439,27 +439,62 @@ def test_results_need_no_enumeration(cfg, tables, monkeypatch):
         tuple(got[-1].log)
 
 
-def test_scan_builds_each_part_once(cfg, tables, monkeypatch):
+def test_scan_judges_each_part_once(cfg, tables, monkeypatch):
     """The scan probes each (source is S, destination is S, slots, buffers)
-    at most once per call, from the sub-run's fewest buffers up."""
-    probed = []
-    part = synthesize._part
+    with _fits at most once per call, from the sub-run's fewest buffers up,
+    and builds no part until its log is read."""
+    probed, built = [], []
+    fits, part = synthesize._fits, synthesize._part
 
     def counted(src_s, dst_s, m, b, *args):
         probed.append((src_s, dst_s, m, b))
-        return part(src_s, dst_s, m, b, *args)
+        return fits(src_s, dst_s, m, b, *args)
 
-    monkeypatch.setattr(synthesize, "_part", counted)
+    def counted_part(*args):
+        built.append(args[:4])
+        return part(*args)
+
+    monkeypatch.setattr(synthesize, "_fits", counted)
+    monkeypatch.setattr(synthesize, "_part", counted_part)
     for M, T in ((30, 60.0), (60, 60.0), (17, 177.31), (12, 12.0)):
         probed.clear()
-        synthesize_link(LinkSpec(length_slots=M, period=T), tables, cfg)
-        assert len(probed) == len(set(probed)), (M, T)
+        res = synthesize_link(LinkSpec(length_slots=M, period=T), tables, cfg)
+        assert probed and len(probed) == len(set(probed)), (M, T)
+        assert built == [], (M, T)
         by_key = {}
         for *key, b in probed:
             by_key.setdefault(tuple(key), []).append(b)
         for (_, _, m), bs in by_key.items():
             least = _min_buffers_for_gap(m, tables.K)
             assert bs == list(range(least, least + len(bs))), (M, T)
+    tuple(res.log)
+    assert built  # reading the log builds the parts
+
+
+def test_failing_long_sub_run_stops_early(cfg, tables):
+    """A 200-slot sub-run at T = 60 fails its setup pass: judged on a fresh
+    TableSet, it makes fewer setup lookups than it has segments and no hold
+    lookup, counted by the memo dicts' reads."""
+    ts = TableSet(tables.views, tables.cfg_digest)  # the same tables, an empty memo
+    reads = Counter()
+
+    class Counted(dict):
+        def get(self, key):
+            reads[self.purpose] += 1
+            return super().get(key)
+
+    for purpose, rows in ts.memo.items():
+        for row in rows:
+            for j in range(len(row)):
+                row[j] = Counted()
+                row[j].purpose = purpose
+    m, clk = 200, ClockSpec(period=60.0)
+    b, limit = _min_buffers_for_gap(m, ts.K), max_clock_run(cfg, clk.period)
+    assert not synthesize._fits(True, False, m, b, limit, clk, ts, cfg, {})
+    assert 0 < reads[LookupPurpose.SETUP_MAX] < b + 1
+    assert reads[LookupPurpose.HOLD_MIN] == 0
+    assert not any(cell for row in ts.memo[LookupPurpose.HOLD_MIN] for cell in row)
+    assert any(synthesize._part(True, False, m, b, 0, limit, clk, ts, cfg, {})[1:])
 
 
 def test_synthesize_1000_slots(cfg, tables):
@@ -587,14 +622,20 @@ def assert_max_clock_run_bisected(cfg, periods):
 @settings(max_examples=60, deadline=None)
 def test_max_clock_run_equals_bisection_under_random_configs(drawn, data):
     """The closed form equals doubling and bisection at each edge period and
-    one ulp either side, one ulp below the clock floor, at random periods,
-    at T = 1e6..1e15, and at an infinite T, where the root is NaN."""
+    one ulp either side, one ulp below the clock floor, at random periods
+    and at T = 1e6..1e15."""
     floor = 2.0 * clock_stage_delay(0, drawn, Corner.MAX)
     periods = [math.nextafter(floor, 0.0), *edge_periods(drawn)]
     periods += data.draw(st.lists(st.floats(floor / 2.0, 1e4 * floor), max_size=20),
                          label="periods")
-    periods += [10.0 ** k for k in range(6, 16)] + [math.inf]
+    periods += [10.0 ** k for k in range(6, 16)]
     assert_max_clock_run_bisected(drawn, periods)
+
+
+@pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan])
+def test_max_clock_run_refuses_non_finite_period(cfg, period):
+    with pytest.raises(InvalidValue, match="period must be finite"):
+        max_clock_run(cfg, period)
 
 
 def test_max_clock_run_falls_back_when_the_root_is_off(cfg, monkeypatch):
@@ -686,7 +727,7 @@ def test_sub_run_parts_equal_walked_tokens(cfg, tables):
     steps, stage delays (bit for bit) and text built from block positions
     equal walk_link's over the promoted tokens, and the part equals those
     tokens chained and judged, launched at token 0 under even limits and at
-    token 7 under odd ones."""
+    token 7 under odd ones.  _fits gives the part's verdict."""
     clocks = {}  # each limit at its loosest edge period
     for T in edge_periods(cfg):
         clocks[max_clock_run(cfg, T)] = ClockSpec(period=T, jitter=0.5)
@@ -706,8 +747,31 @@ def test_sub_run_parts_equal_walked_tokens(cfg, tables):
             part = synthesize._part(*key, launch, limit, clk, tables, cfg, pieces)
             assert part == walked_part(steps, delays, text, launch, clk, tables, cfg), \
                 (key, limit)
+            assert synthesize._fits(*key, limit, clk, tables, cfg, pieces) == \
+                (not any(part[1:])), (key, limit)
             outcomes["raised" if part[1] or part[2] else "refused" if part[4] else "valid"] += 1
     assert len(outcomes) == 3 and sum(outcomes.values()) == len(clocks) * len(keys)
+
+
+@given(drawn=tech_configs(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_fits_equals_part_verdict_under_random_configs(drawn, data):
+    """Under random configs, at a random period above the clock floor and a
+    random jitter, _fits gives the part's verdict for both end kinds at each
+    drawn slot and buffer count."""
+    ts = build_tables(drawn)
+    floor = 2.0 * clock_stage_delay(0, drawn, Corner.MAX)
+    T = floor * math.exp(data.draw(st.floats(1e-6, 3.4), label="log T / floor"))
+    clk = ClockSpec(period=T, jitter=T * data.draw(st.floats(0.0, 0.5), label="jitter / T"))
+    limit = max_clock_run(drawn, T)
+    slots = st.one_of(st.integers(0, 16), st.integers(17, 48))  # mostly valid, mostly not
+    sizes = slots.flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m)))
+    pieces = {}
+    for m, b in data.draw(st.lists(sizes, min_size=1, max_size=12), label="(m, b)"):
+        for src_s, dst_s in product((False, True), repeat=2):
+            part = synthesize._part(src_s, dst_s, m, b, 0, limit, clk, ts, drawn, pieces)
+            assert synthesize._fits(src_s, dst_s, m, b, limit, clk, ts, drawn, pieces) == \
+                (not any(part[1:])), (src_s, dst_s, m, b)
 
 
 def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
