@@ -79,8 +79,8 @@ def cmd_synthesize(args) -> int:
     spec = synthesize.LinkSpec(length_slots=args.length, period=args.period,
                                jitter=args.jitter)
     result = synthesize.synthesize_link(spec, ts, cfg)
-    # stdout is built whole, then the link file written, then stdout printed: an
-    # error leaves neither a file without its report nor a report without its file
+    # stdout is built whole before the link file is written and printed after it,
+    # so no error leaves a link file without its report, or a report without its file
     lines = [f"try: {line}" for line in result.log]
     if not result.valid:
         lines.append(f"unsynthesizable: {'; '.join(result.reasons)}")
