@@ -125,6 +125,13 @@ class TableSet(_TableFields):
         return {purpose: [[{} for _ in ACTIVE_KINDS] for _ in ACTIVE_KINDS]
                 for purpose in LookupPurpose}
 
+    @cached_property
+    def delay_floor(self) -> float:
+        """Least SETUP_MAX delay of any n-wire cell per n + 1, over n: see synthesize."""
+        views = self.views[LookupPurpose.SETUP_MAX]
+        least = map(min, zip(*(row for line in views for view in line for row in view.delay)))
+        return min(d / (n + 1) for n, d in enumerate(least))
+
 
 def _table_set(rows: list, cells: dict, digest: str) -> TableSet:
     """The TableSet over the slew rows and cells[pair, corner] = (delay rows,

@@ -147,17 +147,17 @@ def max_clock_run(cfg: TechConfig, period: float) -> int:
 
     The stage delay grows with n (techlib._validate), so the n that fit are
     0..answer.  The answer is read off the root of the delay's quadratic in n
-    and confirmed at n and n + 1; should rounding put it a slot off, doubling
-    and bisection find it.
+    and confirmed at n and n + 1, which proves zero slots fit; should rounding
+    put it a slot off, zero slots are checked, then doubling and bisection find it.
     """
     if not math.isfinite(period):
         raise InvalidValue(f"period must be finite, got {period!r}")
-    if not clock_stage_fits(0, cfg, period):
-        raise ClockUnsatisfiable(
-            f"clock stage with zero unbuffered slots already >= T/2 = {period / 2.0:.6g}")
     n = _clock_run_guess(cfg, period)
     if clock_stage_fits(n, cfg, period) and not clock_stage_fits(n + 1, cfg, period):
         return n
+    if not clock_stage_fits(0, cfg, period):
+        raise ClockUnsatisfiable(
+            f"clock stage with zero unbuffered slots already >= T/2 = {period / 2.0:.6g}")
     # double past the answer, then bisect, lo fitting and hi not
     lo, hi = 0, 1
     while clock_stage_fits(hi, cfg, period):
@@ -178,6 +178,8 @@ def _clock_run_guess(cfg: TechConfig, period: float) -> int:
     a = cfg.pitch_r * cfg.pitch_c / 2.0
     b = p.cb_r_drv * cfg.pitch_c + a + cfg.pitch_r * p.cb_c_in
     c = p.cb_d0 + p.cb_r_drv * p.cb_c_in - period / 2.0 / cfg.derate_max
+    if c >= 0.0:  # no n fits, up to rounding
+        return 0
     root = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))  # no cancellation: c < 0
     return max(math.ceil(root) - 1, 0)
 

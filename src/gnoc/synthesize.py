@@ -27,22 +27,26 @@ hasta.judge_paths at its launch token.  The path record carries its own skew,
 so the verdicts are is_valid's bit for bit.
 
 The search is a register-count scan.  A candidate is valid exactly when each
-of its parts is, so the first valid one in schedule order gives every
-sub-run its own smallest valid buffer count b.  For r = 0..M the scan takes
-each sub-run's first valid b, found once per call for each (source is S,
-destination is S, slots) from the fewest buffers up.  Each b is judged by
-_fits, an early-stopping verdict equal to its part's at launch token 0 (the
-launch token moves only the positions printed in reasons): it stops at the
-first chain error, slew past the legal max or running delay past the
-period, and chains the hold pass only once the setup check passes.  So the
-scan builds no part: reasons are built only for the log.  It stops at the
-first sub-run with no valid b; the first r at which every sub-run has one
-wins, and the winner's text is the join of those sub-runs' texts, its
-tokens grammar.TOKENS of its words.  iterations, the number of candidates
-the schedule tries, is counted rather than walked: every vector of each
-failed r, then the vectors before the winner in (total, lexicographic)
-order, then the winner.  An exhausted search ends at S R ... R S, and
-is_valid gives its reasons.
+of its parts is, so the first valid one in schedule order gives every sub-run
+its own smallest valid buffer count b.  For r = 0..M the scan takes each
+sub-run's first valid b, found once per call for each (source is S,
+destination is S, slots) from the fewest buffers up.  No b is valid, or
+probed, once TableSet.delay_floor * (m + 1) > T (1 + 1e-9) for m slots: a
+PESSIMISTIC SETUP_MAX lookup of n < K wires (more raise) reads a cell of at
+least (n + 1) * delay_floor, and b + 1 segments hold m - b wires, so their
+delays sum past T whatever b and skew; the margin covers rounding in sums of
+up to 10^6 delays.  Each other b is judged by _fits, an early-stopping
+verdict equal to its part's at launch token 0 (the launch token moves only
+the positions printed in reasons): it stops at the first chain error, slew
+past the legal max or running delay past the period, and chains the hold pass
+only once the setup check passes.  So the scan builds no part: reasons are
+built only for the log.  It stops at the first sub-run with no valid b; the
+first r at which every sub-run has one wins, and the winner's text is the
+join of those sub-runs' texts, its tokens grammar.TOKENS of its words.
+iterations, the number of candidates the schedule tries, is counted rather
+than walked: every vector of each failed r, then the vectors before the
+winner in (total, lexicographic) order, then the winner.  An exhausted search
+ends at S R ... R S, and is_valid gives its reasons.
 
 The log, one "<candidate> -> <verdict>" line per candidate tried, is a
 SearchLog: its len() is iterations, and the schedule is enumerated only when
@@ -361,6 +365,11 @@ def _fits(src_s: bool, dst_s: bool, m: int, b: int, limit: int, clk: ClockSpec,
     return meets_hold(d_min, skew, params.t_h)
 
 
+def _past_floor(m: int, ts: TableSet, period: float) -> bool:
+    """Whether no b fits an m-slot sub-run by the delay floor: see the module docstring."""
+    return ts.delay_floor * (m + 1) > period * (1.0 + 1e-9)
+
+
 def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisResult:
     """The first valid candidate of the (registers, buffers) schedule, found by a
     register-count scan that judges each sub-run by _fits' early-stopping verdict;
@@ -379,6 +388,8 @@ def synthesize_link(spec: LinkSpec, ts: TableSet, cfg: TechConfig) -> SynthesisR
     first: dict = {}   # (source is S, destination is S, m) -> (b, text) of its first valid part
 
     def first_valid(src_s, dst_s, m, least):
+        if _past_floor(m, ts, clk.period):
+            return None
         for b in range(least, m + 1):
             if _fits(src_s, dst_s, m, b, limit, clk, ts, cfg, pieces):
                 return b, " " + _sub_run_steps(src_s, dst_s, m, b, limit, cfg, pieces)[2]

@@ -108,6 +108,28 @@ def test_max_clock_run_unsatisfiable(cfg):
     assert max_clock_run(cfg, 9.6) == 0
 
 
+def test_max_clock_run_checks_zero_slots_only_on_fallback(cfg, monkeypatch):
+    """A confirmed guess costs two stage delays; below the clock floor the
+    guess is 0, with no math domain error, and the refusal names T/2."""
+    calls = []
+
+    def counted(n, cfg, corner):
+        calls.append(n)
+        return clock_stage_delay(n, cfg, corner)
+
+    monkeypatch.setattr(golden, "clock_stage_delay", counted)
+    for T in (60.0, 177.31):
+        calls.clear()
+        n = max_clock_run(cfg, T)
+        assert calls == [n, n + 1], T
+    for T in (9.5, 1.0, 0.0, -1e6):
+        assert golden._clock_run_guess(cfg, T) == 0, T
+        with pytest.raises(ClockUnsatisfiable) as exc:
+            max_clock_run(cfg, T)
+        assert str(exc.value) == \
+            f"clock stage with zero unbuffered slots already >= T/2 = {T / 2.0:.6g}", T
+
+
 def test_assign_clock_subtypes_promotes_minimally(cfg):
     spec = LinkSpec(length_slots=8, period=22.0)
     limit = max_clock_run(cfg, spec.period)
@@ -467,8 +489,42 @@ def test_scan_judges_each_part_once(cfg, tables, monkeypatch):
         for (_, _, m), bs in by_key.items():
             least = _min_buffers_for_gap(m, tables.K)
             assert bs == list(range(least, least + len(bs))), (M, T)
+            assert not synthesize._past_floor(m, tables, T), (M, T, m)
     tuple(res.log)
     assert built  # reading the log builds the parts
+
+
+@pytest.mark.parametrize("M, T, digest", [
+    (100, 60.0, "3062eac64a12464db89770b4542bc37a0c3d45a2e8195dd609b621deaf4e0a07"),
+    (1000, 60.0, "084578b3ff450de26c3bb1e32f7c8d82f4e453e83d74eec9060b818f1bf71202"),
+    (5000, 60.0, "0108f791df258356926d323b443162d71aee983b12ecd8b4bc14a2a15e18c23a"),
+    (100, 100.0, "e30d7f69abdc201702557c9f80bac2825255b1424f2209e98d85a66015ed6522"),
+    (1000, 100.0, "54ec64f91fccad5eee5be19810345dceddad7803378345be132e7a6c2f5dcc66"),
+    (5000, 100.0, "eb4ab3dec65a52a0ee210087ab47c67c43c52423efb2bc07776d90939e779543"),
+])
+def test_long_links_pinned(cfg, tables, M, T, digest):
+    """Every field but the log of long links, whose scans meet sub-run lengths
+    far past the delay floor's cut; pinned before the scan skipped them."""
+    res = synthesize_link(LinkSpec(length_slots=M, period=T), tables, cfg)
+    assert hashlib.sha256(repr(res[:-1]).encode()).hexdigest() == digest
+
+
+def test_delay_floor_margin(cfg, tables):
+    """At T = fl(delay_floor * (m + 1)) and one ulp either side, the floor cuts
+    no m-slot sub-run, and a relative 2e-9 below that T it does.  In floats
+    3 * (13.97 / 3) is above 13.97, the least 2-wire cell, which a 2-wire
+    segment can delay exactly."""
+    views = tables.views[LookupPurpose.SETUP_MAX]
+    least = [min(row[n] for line in views for view in line for row in view.delay)
+             for n in range(tables.K)]
+    floor = tables.delay_floor
+    assert floor == min(d / (n + 1) for n, d in enumerate(least)) == least[2] / 3
+    assert least[2] == 13.97 and floor * 3 > 13.97
+    for m in (2, 10, 99, 4999):
+        T = floor * (m + 1)
+        for period in (math.nextafter(T, 0.0), T, math.nextafter(T, math.inf)):
+            assert not synthesize._past_floor(m, tables, period), (m, period)
+        assert synthesize._past_floor(m, tables, T * (1.0 - 2e-9)), m
 
 
 def test_failing_long_sub_run_stops_early(cfg, tables):
@@ -772,6 +828,29 @@ def test_fits_equals_part_verdict_under_random_configs(drawn, data):
             part = synthesize._part(src_s, dst_s, m, b, 0, limit, clk, ts, drawn, pieces)
             assert synthesize._fits(src_s, dst_s, m, b, limit, clk, ts, drawn, pieces) == \
                 (not any(part[1:])), (src_s, dst_s, m, b)
+
+
+@given(drawn=tech_configs(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_delay_floor_cuts_only_sub_runs_that_never_fit(drawn, data):
+    """Under random configs, at a random period above the clock floor: at
+    each of the 11 lengths from the first that the delay floor cuts, no
+    buffer count fits, for either end kind, by trying them all."""
+    ts = build_tables(drawn)
+    clock_floor = 2.0 * clock_stage_delay(0, drawn, Corner.MAX)
+    T = clock_floor * math.exp(data.draw(st.floats(1e-6, 3.4), label="log T / clock floor"))
+    clk, limit = ClockSpec(period=T), max_clock_run(drawn, T)
+    first = max(int(T / ts.delay_floor) - 2, 0)
+    while not synthesize._past_floor(first, ts, T):
+        first += 1
+    assert first == 0 or not synthesize._past_floor(first - 1, ts, T)
+    pieces = {}
+    for m in range(first, first + 11):
+        assert synthesize._past_floor(m, ts, T), m
+        for src_s, dst_s in product((False, True), repeat=2):
+            for b in range(m + 1):
+                assert not synthesize._fits(src_s, dst_s, m, b, limit, clk, ts, drawn,
+                                            pieces), (src_s, dst_s, m, b)
 
 
 def test_assign_clock_subtypes_leaves_no_late_clock_stage(cfg):
